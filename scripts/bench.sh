@@ -4,10 +4,12 @@
 # batched datapath, E17 tracing overhead, E18 TLB shootdown scaling, E19
 # crash-recovery latency + exactly-once ledger, E20 race-detection
 # overhead, E21 L4 fast-path IPC, E22 causal request tracing, E23 the
-# completed fast-path family). Each bench
+# completed fast-path family), plus E8's per-layer line counts. Each bench
 # writes BENCH_<id>.json into $OUT alongside its human-readable tables on
 # stdout; E17/E20 split their host wall-clock columns into a separate
-# BENCH_<id>_HOST.json so the deterministic tables stay bit-exact. E17
+# BENCH_<id>_HOST.json so the deterministic tables stay bit-exact, and E8
+# writes only BENCH_E8_HOST.json (line counts move with every edit, so the
+# committed file is a code-size trajectory, never compared). E17
 # additionally writes a Perfetto-loadable Chrome trace and flamegraph.pl
 # collapsed stacks, and E22 a request-flow view plus per-request table,
 # into $OUT via UKVM_TRACE_DIR.
@@ -31,7 +33,7 @@ cmake --build "${BUILD}" -j"${JOBS}" --target \
   bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings bench_e16_batched_io \
   bench_e17_trace_overhead bench_e18_shootdown bench_e19_recovery \
   bench_e20_race_overhead bench_e21_ipc_fastpath bench_e22_reqtrace \
-  bench_e23_replywait bench_simspeed
+  bench_e23_replywait bench_e8_tcb_size bench_simspeed
 
 mkdir -p "${OUT}"
 export UKVM_BENCH_JSON="${OUT}"
@@ -40,7 +42,7 @@ export UKVM_TRACE_DIR="${OUT}"
 for bench in bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings \
              bench_e16_batched_io bench_e17_trace_overhead bench_e18_shootdown \
              bench_e19_recovery bench_e20_race_overhead bench_e21_ipc_fastpath \
-             bench_e22_reqtrace bench_e23_replywait; do
+             bench_e22_reqtrace bench_e23_replywait bench_e8_tcb_size; do
   echo "== ${bench} =="
   "${BUILD}/bench/${bench}"
   echo

@@ -46,8 +46,9 @@
 #      sim is deterministic, so any drift is a perf regression (or an
 #      uncommitted baseline). E17/E20 participate via their deterministic
 #      tables; their host wall-clock columns live in BENCH_*_HOST.json,
-#      which is never compared. Stages 11-13 use a default-config tree
-#      (build-check/bench) because UKVM_CHECK=ON changes charge sequences.
+#      which is never compared. Stages 11-13 reuse stage 1's strict tree:
+#      UKVM_CHECK=ON (the default) adds observers only, never charges, so
+#      that tree regenerates every baseline bit-exactly.
 #
 # Exits non-zero if any stage that can run fails. Build trees live under
 # build-check/ so the default build/ is left alone.
@@ -109,10 +110,12 @@ echo "== [10/13] E22 request-tracing gate =="
 cmake --build build-check/werror -j"${JOBS}" --target bench_e22_reqtrace
 build-check/werror/bench/bench_e22_reqtrace
 
-# Stages 10-11 need the default configuration: the committed baselines were
-# produced without UKVM_CHECK's auditor hooks in the charge stream. Every
-# bench's BENCH_<id>.json carries pure simulated-cycle data (E17/E20 split
-# their wall-clock columns into BENCH_<id>_HOST.json, which never gates).
+# Stages 11-13 run from stage 1's strict tree (build-check/werror), which
+# already built every bench. Its UKVM_CHECK=ON is the default configuration
+# and only adds observers, so the committed baselines regenerate from it
+# bit-exactly. Every bench's BENCH_<id>.json carries pure simulated-cycle
+# data (E17/E20 split their wall-clock columns into BENCH_<id>_HOST.json,
+# which never gates).
 DET_BENCHES="bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings \
              bench_e16_batched_io bench_e17_trace_overhead bench_e18_shootdown \
              bench_e19_recovery bench_e20_race_overhead bench_e21_ipc_fastpath \
@@ -120,22 +123,21 @@ DET_BENCHES="bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings \
 DET_JSONS="BENCH_E1.json BENCH_E3.json BENCH_E4.json BENCH_E16.json \
            BENCH_E17.json BENCH_E18.json BENCH_E19.json BENCH_E20.json \
            BENCH_E21.json BENCH_E22.json BENCH_E23.json"
-cmake -B build-check/bench -S . >/dev/null
 # shellcheck disable=SC2086
-cmake --build build-check/bench -j"${JOBS}" --target ${DET_BENCHES}
+cmake --build build-check/werror -j"${JOBS}" --target ${DET_BENCHES}
 
 echo "== [11/13] E21 IPC fast-path gate =="
-build-check/bench/bench/bench_e21_ipc_fastpath
+build-check/werror/bench/bench_e21_ipc_fastpath
 
 echo "== [12/13] E23 fast-path family gate =="
-build-check/bench/bench/bench_e23_replywait
+build-check/werror/bench/bench_e23_replywait
 
 echo "== [13/13] bench JSON bit-exact perf-regression gate =="
 rm -rf build-check/bench-json
 mkdir -p build-check/bench-json
 for bench in ${DET_BENCHES}; do
   UKVM_BENCH_JSON=build-check/bench-json UKVM_TRACE_DIR=build-check/bench-json \
-    "build-check/bench/bench/${bench}" >/dev/null
+    "build-check/werror/bench/${bench}" >/dev/null
 done
 for json in ${DET_JSONS}; do
   baseline="bench-results/${json}"

@@ -60,15 +60,27 @@ CrossingSnapshot DiffSnapshots(const CrossingSnapshot& before, const CrossingSna
   return diff;
 }
 
-uint32_t CrossingLedger::InternMechanism(std::string_view name, CrossingKind kind) {
-  auto it = by_name_.find(std::string(name));
-  if (it != by_name_.end()) {
-    assert(slots_[it->second].kind == kind);
-    return it->second;
+uint32_t CrossingLedger::FindSlot(uint32_t name) const {
+  uint32_t id = 0;
+  while (id < slots_.size() && slots_[id].name != name) {
+    ++id;
   }
-  const auto id = static_cast<uint32_t>(slots_.size());
-  slots_.push_back(MechanismSlot{std::string(name), kind, 0, 0, 0});
-  by_name_.emplace(std::string(name), id);
+  return id;
+}
+
+MechanismStats CrossingLedger::Stats(const MechanismSlot& slot) const {
+  return MechanismStats{names_.Name(slot.name), slot.kind, slot.count, slot.cycles, slot.bytes};
+}
+
+uint32_t CrossingLedger::InternMechanism(std::string_view name, CrossingKind kind) {
+  const uint32_t name_id = names_.Intern(name);
+  const uint32_t id = FindSlot(name_id);
+  if (id < slots_.size()) {
+    assert(slots_[id].kind == kind);
+    return id;
+  }
+  const uint32_t xing_name = names_.Intern("xing." + std::string(name));
+  slots_.push_back(MechanismSlot{name_id, xing_name, kind, 0, 0, 0});
   return id;
 }
 
@@ -115,12 +127,12 @@ uint64_t CrossingLedger::CountByKind(CrossingKind kind) const {
 }
 
 MechanismStats CrossingLedger::StatsFor(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
-  if (it == by_name_.end()) {
+  const uint32_t name_id = names_.Find(name);
+  const uint32_t id = FindSlot(name_id);
+  if (name_id == 0 || id == slots_.size()) {
     return MechanismStats{std::string(name), CrossingKind::kKindCount, 0, 0, 0};
   }
-  const MechanismSlot& slot = slots_[it->second];
-  return MechanismStats{slot.name, slot.kind, slot.count, slot.cycles, slot.bytes};
+  return Stats(slots_[id]);
 }
 
 CrossingSnapshot CrossingLedger::Snapshot() const {
@@ -130,8 +142,7 @@ CrossingSnapshot CrossingLedger::Snapshot() const {
   snap.total_cycles = total_cycles_;
   snap.mechanisms.reserve(slots_.size());
   for (const MechanismSlot& slot : slots_) {
-    snap.mechanisms.push_back(
-        MechanismStats{slot.name, slot.kind, slot.count, slot.cycles, slot.bytes});
+    snap.mechanisms.push_back(Stats(slot));
   }
   return snap;
 }

@@ -16,10 +16,10 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/ids.h"
+#include "src/core/names.h"
 
 namespace ukvm {
 
@@ -88,9 +88,13 @@ struct CrossingEvent {
 // simulation is single-threaded and deterministic).
 class CrossingLedger {
  public:
+  explicit CrossingLedger(NameTable& names) : names_(names) {}
+
   // Interns a mechanism name, returning a dense id for cheap recording on
   // hot paths. Repeated calls with the same name return the same id. The
   // kind given at interning time classifies all events of this mechanism.
+  // Interns `name` and its crossing-latency name "xing.<name>" in the name
+  // table too, so observers read both ids instead of building them.
   uint32_t InternMechanism(std::string_view name, CrossingKind kind);
 
   // Records one crossing event of `mechanism` (an id from InternMechanism)
@@ -128,22 +132,30 @@ class CrossingLedger {
 
   // Mechanism table introspection (ids are dense, [0, mechanism_count)).
   size_t mechanism_count() const { return slots_.size(); }
-  const std::string& MechanismName(uint32_t id) const { return slots_.at(id).name; }
+  const std::string& MechanismName(uint32_t id) const { return names_.Name(slots_.at(id).name); }
   CrossingKind MechanismKind(uint32_t id) const { return slots_.at(id).kind; }
+  // Name-table ids of the mechanism's name and of "xing.<name>".
+  uint32_t NameId(uint32_t id) const { return slots_[id].name; }
+  uint32_t XingNameId(uint32_t id) const { return slots_[id].xing_name; }
 
   uint64_t events_recorded() const { return events_recorded_; }
 
  private:
   struct MechanismSlot {
-    std::string name;
+    uint32_t name = 0;       // name-table id
+    uint32_t xing_name = 0;  // name-table id of "xing.<name>"
     CrossingKind kind = CrossingKind::kKindCount;
     uint64_t count = 0;
     uint64_t cycles = 0;
     uint64_t bytes = 0;
   };
 
+  // The slot named `name` (a name-table id), or slots_.size() if none.
+  uint32_t FindSlot(uint32_t name) const;
+  MechanismStats Stats(const MechanismSlot& slot) const;
+
+  NameTable& names_;
   std::vector<MechanismSlot> slots_;
-  std::unordered_map<std::string, uint32_t> by_name_;
   std::array<uint64_t, kCrossingKindCount> kind_counts_{};
   uint64_t total_count_ = 0;
   uint64_t total_cycles_ = 0;

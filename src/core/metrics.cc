@@ -39,14 +39,13 @@ void CpuAccounting::Reset() {
 }
 
 uint32_t Counters::Intern(std::string_view name) {
-  auto it = by_name_.find(std::string(name));
-  if (it != by_name_.end()) {
-    return it->second;
+  const uint32_t id = names_.Intern(name);
+  if (std::find(ids_.begin(), ids_.end(), id) == ids_.end()) {
+    ids_.push_back(id);
+    if (values_.size() <= id) {
+      values_.resize(id + 1, 0);
+    }
   }
-  const auto id = static_cast<uint32_t>(names_.size());
-  names_.emplace_back(name);
-  values_.push_back(0);
-  by_name_.emplace(std::string(name), id);
   return id;
 }
 
@@ -58,15 +57,15 @@ void Counters::Add(uint32_t id, uint64_t delta) {
 void Counters::AddNamed(std::string_view name, uint64_t delta) { Add(Intern(name), delta); }
 
 uint64_t Counters::Get(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
-  return it == by_name_.end() ? 0 : values_[it->second];
+  const uint32_t id = names_.Find(name);
+  return id < values_.size() ? values_[id] : 0;
 }
 
 std::vector<std::pair<std::string, uint64_t>> Counters::All() const {
   std::vector<std::pair<std::string, uint64_t>> out;
-  out.reserve(names_.size());
-  for (size_t i = 0; i < names_.size(); ++i) {
-    out.emplace_back(names_[i], values_[i]);
+  out.reserve(ids_.size());
+  for (const uint32_t id : ids_) {
+    out.emplace_back(names_.Name(id), values_[id]);
   }
   std::sort(out.begin(), out.end());
   return out;

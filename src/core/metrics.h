@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/core/ids.h"
+#include "src/core/names.h"
 
 namespace ukvm {
 
@@ -58,8 +59,11 @@ class CpuAccounting {
 };
 
 // Named monotonic counters with cheap hot-path increments via interned ids.
+// A counter's id is its name's id in `names`, the machine's one name table.
 class Counters {
  public:
+  explicit Counters(NameTable& names) : names_(names) {}
+
   uint32_t Intern(std::string_view name);
 
   void Add(uint32_t id, uint64_t delta = 1);
@@ -72,9 +76,9 @@ class Counters {
   void Reset();
 
  private:
-  std::vector<std::string> names_;
-  std::vector<uint64_t> values_;
-  std::unordered_map<std::string, uint32_t> by_name_;
+  NameTable& names_;
+  std::vector<uint64_t> values_;  // indexed by name id
+  std::vector<uint32_t> ids_;     // the interned counters, in interning order
 };
 
 }  // namespace ukvm

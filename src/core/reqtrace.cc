@@ -43,14 +43,12 @@ const char* ReqNodeKindName(ReqNodeKind kind) {
   return "?";
 }
 
-RequestTrace::RequestTrace() {
-  names_.emplace_back();  // id 0: the reserved empty name
-  name_ids_[""] = 0;
-  name_ring_wait_ = InternName("ring.wait");
-  name_upcall_ = InternName("evtchn.upcall");
-  name_copy_ = InternName("copy");
-  name_shootdown_ = InternName("tlb.shootdown");
-}
+RequestTrace::RequestTrace(NameTable& names)
+    : names_(names),
+      name_ring_wait_(names.Intern("ring.wait")),
+      name_upcall_(names.Intern("evtchn.upcall")),
+      name_copy_(names.Intern("copy")),
+      name_shootdown_(names.Intern("tlb.shootdown")) {}
 
 void RequestTrace::Enable(const ReqTraceConfig& config) {
   config_ = config;
@@ -74,17 +72,6 @@ void RequestTrace::Enable(const ReqTraceConfig& config) {
 void RequestTrace::Disable() {
   enabled_ = false;
   current_ = ReqTraceRef{};
-}
-
-uint32_t RequestTrace::InternName(std::string_view name) {
-  const auto it = name_ids_.find(std::string(name));
-  if (it != name_ids_.end()) {
-    return it->second;
-  }
-  const auto id = static_cast<uint32_t>(names_.size());
-  names_.emplace_back(name);
-  name_ids_[names_.back()] = id;
-  return id;
 }
 
 RequestTrace::LiveRequest* RequestTrace::Find(ReqTraceRef ref) {
@@ -346,16 +333,9 @@ void RequestTrace::OnCrossing(const CrossingEvent& event, const CrossingLedger& 
   if (!enabled_ || !current_.valid()) {
     return;
   }
-  if (mech_name_ids_.size() < ledger.mechanism_count()) {
-    mech_name_ids_.resize(ledger.mechanism_count(), 0);
-  }
-  uint32_t& name = mech_name_ids_[event.mechanism];
-  if (name == 0) {
-    name = InternName("xing." + ledger.MechanismName(event.mechanism));
-  }
   const uint64_t t1 = event.time;
   const uint64_t t0 = t1 - std::min(event.cycles, t1);
-  (void)AddLeaf(name, ReqNodeKind::kCrossing, event.from, t0, t1);
+  (void)AddLeaf(ledger.XingNameId(event.mechanism), ReqNodeKind::kCrossing, event.from, t0, t1);
 }
 
 void RequestTrace::EndRequest(ReqTraceRef ref) {

@@ -36,13 +36,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "src/core/histogram.h"
 #include "src/core/ids.h"
+#include "src/core/names.h"
 
 namespace ukvm {
 
@@ -94,7 +94,7 @@ inline constexpr uint32_t kReqNoParent = 0xffffffffu;
 inline constexpr uint64_t kReqOpen = ~0ull;
 
 struct ReqNode {
-  uint32_t name = 0;  // interned via RequestTrace::InternName
+  uint32_t name = 0;  // a name-table id
   ReqNodeKind kind = ReqNodeKind::kCompute;
   DomainId domain;        // where the interval was spent
   uint64_t t0 = 0;        // simulated cycles
@@ -147,7 +147,8 @@ enum class RingSide : uint8_t { kRequest = 0, kResponse = 1 };
 
 class RequestTrace {
  public:
-  RequestTrace();
+  // Node names are ids in `names`, the machine's one name table.
+  explicit RequestTrace(NameTable& names);
 
   // Arms the tracer; clears previously recorded requests. Interned names
   // survive (instrumentation sites cache ids at construction time).
@@ -158,10 +159,7 @@ class RequestTrace {
 
   void SetTimeSource(std::function<uint64_t()> now) { now_ = std::move(now); }
 
-  // Interns a node name. Id 0 is reserved (the empty name), so call sites
-  // can use 0 as a "not yet interned" sentinel.
-  uint32_t InternName(std::string_view name);
-  const std::string& Name(uint32_t id) const { return names_.at(id); }
+  const std::string& Name(uint32_t id) const { return names_.Name(id); }
 
   // --- Request lifecycle ------------------------------------------------------
 
@@ -248,7 +246,8 @@ class RequestTrace {
   // --- Ledger sink ------------------------------------------------------------
 
   // CrossingLedger trace-sink: attaches every crossing charged while a
-  // request is ambient as a kCrossing leaf [time - cycles, time].
+  // request is ambient as a kCrossing leaf [time - cycles, time], named
+  // "xing.<mechanism>".
   void OnCrossing(const CrossingEvent& event, const CrossingLedger& ledger);
 
   // --- Results ----------------------------------------------------------------
@@ -312,12 +311,10 @@ class RequestTrace {
   void UnstashLive(const Stash& stash);
   void Finish(uint32_t id, LiveRequest&& req, uint64_t end);
 
+  NameTable& names_;
   bool enabled_ = false;
   ReqTraceConfig config_;
   std::function<uint64_t()> now_;
-
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, uint32_t> name_ids_;
 
   uint32_t next_trace_id_ = 1;
   std::unordered_map<uint32_t, LiveRequest> live_;
@@ -346,9 +343,6 @@ class RequestTrace {
   uint32_t name_upcall_ = 0;
   uint32_t name_copy_ = 0;
   uint32_t name_shootdown_ = 0;
-  // Per-ledger-mechanism name cache ("xing.<mechanism>"), indexed by
-  // mechanism id; 0 = not yet cached.
-  std::vector<uint32_t> mech_name_ids_;
 };
 
 // RAII origin: mints a request, makes it ambient for the scope, and

@@ -13,17 +13,6 @@ CycleProfiler::CycleProfiler() {
   nodes_.push_back(Node{});  // node 0: the root (empty path)
 }
 
-uint32_t CycleProfiler::InternFrame(std::string_view name) {
-  auto it = frames_by_name_.find(std::string(name));
-  if (it != frames_by_name_.end()) {
-    return it->second;
-  }
-  const auto id = static_cast<uint32_t>(frame_names_.size());
-  frame_names_.emplace_back(name);
-  frames_by_name_.emplace(std::string(name), id);
-  return id;
-}
-
 void CycleProfiler::Push(uint32_t frame) {
   const uint64_t key = (uint64_t{current_} << 32) | frame;
   auto it = children_.find(key);
@@ -74,18 +63,12 @@ void CycleProfiler::Reset() {
 
 // --- Tracer ----------------------------------------------------------------------
 
-Tracer::Tracer() {
-  const uint32_t reserved = InternName("");  // id 0: the "unset" sentinel
-  assert(reserved == 0);
-  (void)reserved;
-}
-
 void Tracer::Enable(const TraceConfig& config) {
   ring_.assign(config.ring_capacity > 0 ? config.ring_capacity : 1, TraceEvent{});
   events_recorded_ = 0;
   open_spans_.clear();
   span_mismatches_ = 0;
-  for (LogHistogram& h : histograms_) {
+  for (auto& [id, h] : histograms_) {
     h.Reset();
   }
   profiler_.Reset();
@@ -93,17 +76,6 @@ void Tracer::Enable(const TraceConfig& config) {
 }
 
 void Tracer::Disable() { enabled_ = false; }
-
-uint32_t Tracer::InternName(std::string_view name) {
-  auto it = name_ids_.find(std::string(name));
-  if (it != name_ids_.end()) {
-    return it->second;
-  }
-  const auto id = static_cast<uint32_t>(names_.size());
-  names_.emplace_back(name);
-  name_ids_.emplace(std::string(name), id);
-  return id;
-}
 
 void Tracer::RegisterDomain(DomainId domain, std::string_view name) {
   domain_names_[domain.value()] = std::string(name);
@@ -182,27 +154,16 @@ void Tracer::OnCrossing(const CrossingEvent& crossing, const CrossingLedger& led
   if (!enabled_) {
     return;
   }
-  if (crossing.mechanism >= mech_name_ids_.size()) {
-    mech_name_ids_.resize(crossing.mechanism + 1, 0);
-    mech_histogram_ids_.resize(crossing.mechanism + 1, kNoHistogram);
-  }
-  uint32_t& name = mech_name_ids_[crossing.mechanism];
-  uint32_t& hist = mech_histogram_ids_[crossing.mechanism];
-  if (name == 0) {
-    const std::string& mech = ledger.MechanismName(crossing.mechanism);
-    name = InternName(mech);
-    hist = InternHistogram("xing." + mech);
-  }
   TraceEvent event;
   event.type = TraceEventType::kCrossing;
-  event.name = name;
+  event.name = ledger.NameId(crossing.mechanism);
   event.domain = crossing.to;
   event.time = crossing.time;
   event.dur = crossing.cycles;
   event.a = crossing.from.value();
   event.b = crossing.bytes;
   Emit(event);
-  histograms_[hist].Record(crossing.cycles);
+  histograms_[ledger.XingNameId(crossing.mechanism)].Record(crossing.cycles);
 }
 
 void Tracer::ForEachEvent(const std::function<void(const TraceEvent&)>& fn) const {
@@ -222,29 +183,48 @@ uint64_t Tracer::events_dropped() const {
   return events_recorded_ > capacity ? events_recorded_ - capacity : 0;
 }
 
-uint32_t Tracer::InternHistogram(std::string_view name) {
-  auto it = histograms_by_name_.find(std::string(name));
-  if (it != histograms_by_name_.end()) {
-    return it->second;
+uint64_t Tracer::BeginProbe(uint32_t name, DomainId domain) {
+  if (!enabled_) {
+    return 0;
   }
-  const auto id = static_cast<uint32_t>(histograms_.size());
-  histogram_names_.emplace_back(name);
-  histograms_.emplace_back();
-  histograms_by_name_.emplace(std::string(name), id);
+  profiler_.Push(name);
+  return BeginSpan(name, domain);
+}
+
+uint64_t Tracer::BeginProbe(uint32_t name) {
+  if (!enabled_) {
+    return 0;
+  }
+  profiler_.Push(name);
+  return kFrameOnly;
+}
+
+void Tracer::EndProbe(uint64_t token) {
+  if (token == 0) {
+    return;
+  }
+  profiler_.Pop();
+  if (token != kFrameOnly) {
+    EndSpan(token);
+  }
+}
+
+uint32_t Tracer::InternHistogram(std::string_view name) {
+  const uint32_t id = names_.Intern(name);
+  histograms_.try_emplace(id);
   return id;
 }
 
 void Tracer::ForEachHistogram(
     const std::function<void(const std::string&, const LogHistogram&)>& fn) const {
-  std::vector<uint32_t> order(histograms_.size());
-  for (uint32_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
+  std::vector<std::pair<const std::string*, const LogHistogram*>> rows;
+  rows.reserve(histograms_.size());
+  for (const auto& [id, h] : histograms_) {
+    rows.emplace_back(&names_.Name(id), &h);
   }
-  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
-    return histogram_names_[a] < histogram_names_[b];
-  });
-  for (uint32_t id : order) {
-    fn(histogram_names_[id], histograms_[id]);
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  for (const auto& [name, h] : rows) {
+    fn(*name, *h);
   }
 }
 

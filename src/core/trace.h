@@ -18,6 +18,9 @@
 //     is running (hypercall nr, IPC op, softirq, ...), and dumps
 //     collapsed stacks for flamegraph.pl.
 //
+// All three name things by ids from the machine's NameTable, and one
+// ProbeScope opens a span and pushes a frame under the same id.
+//
 // Determinism: all recorded content derives from simulated time, interned
 // ids, and event order; exports sort any unordered containers. Same seed +
 // same Config => byte-identical dumps.
@@ -36,6 +39,7 @@
 #include "src/core/histogram.h"
 #include "src/core/ids.h"
 #include "src/core/metrics.h"
+#include "src/core/names.h"
 
 namespace ukvm {
 
@@ -58,7 +62,7 @@ enum class TraceEventType : uint8_t {
 
 struct TraceEvent {
   TraceEventType type = TraceEventType::kInstant;
-  uint32_t name = 0;  // interned via Tracer::InternName
+  uint32_t name = 0;  // a name-table id
   DomainId domain;    // the domain the event is attributed to
   uint64_t time = 0;  // simulated cycles
   uint64_t dur = 0;   // span length (kSpan) or crossing cycles (kCrossing)
@@ -67,16 +71,14 @@ struct TraceEvent {
   uint64_t seq = 0;   // global ordinal; survives ring wrap
 };
 
-// Cycle-attribution profiler. Instrumented code pushes interned frames
-// (via ProfScope) around the work it charges; every CpuAccounting::Charge
-// is then attributed to (domain, active path). Paths are interned in a
-// trie so the hot path is one map lookup + one counter bump.
+// Cycle-attribution profiler. Instrumented code pushes frames (name-table
+// ids, via ProbeScope) around the work it charges; every
+// CpuAccounting::Charge is then attributed to (domain, active path). Paths
+// are interned in a trie so the hot path is one map lookup + one counter
+// bump.
 class CycleProfiler : public ChargeObserver {
  public:
   CycleProfiler();
-
-  uint32_t InternFrame(std::string_view name);
-  const std::string& FrameName(uint32_t id) const { return frame_names_.at(id); }
 
   void Push(uint32_t frame);
   void Pop();
@@ -100,8 +102,6 @@ class CycleProfiler : public ChargeObserver {
     uint32_t frame = 0;
   };
 
-  std::vector<std::string> frame_names_;
-  std::unordered_map<std::string, uint32_t> frames_by_name_;
   std::vector<Node> nodes_;
   std::unordered_map<uint64_t, uint32_t> children_;  // (parent<<32)|frame -> node
   std::vector<uint32_t> stack_;                      // open frames as trie nodes
@@ -112,7 +112,9 @@ class CycleProfiler : public ChargeObserver {
 
 class Tracer {
  public:
-  Tracer();
+  // Span, instant, frame and histogram names are ids in `names`, the
+  // machine's one name table.
+  explicit Tracer(NameTable& names) : names_(names) {}
 
   // Arms the instruments. Clears any previously recorded events/attributions
   // and sizes the ring per `config`. (Interned names survive: instrumented
@@ -126,10 +128,7 @@ class Tracer {
 
   // --- Names and domains ------------------------------------------------------
 
-  // Interns an event/span name. Id 0 is reserved (the empty name), so
-  // instrumentation sites can use 0 as an "not yet interned" sentinel.
-  uint32_t InternName(std::string_view name);
-  const std::string& Name(uint32_t id) const { return names_.at(id); }
+  const std::string& Name(uint32_t id) const { return names_.Name(id); }
 
   // Display names for domains in exports ("Dom0", "sigma0", ...).
   void RegisterDomain(DomainId domain, std::string_view name);
@@ -160,16 +159,24 @@ class Tracer {
   uint64_t span_mismatches() const { return span_mismatches_; }
   size_t open_spans() const { return open_spans_.size(); }
 
+  // --- Probes -----------------------------------------------------------------
+
+  // A probe pushes profiler frame `name` and, given a domain, opens a span
+  // under the same name; EndProbe closes both. Returns 0 (and EndProbe is a
+  // no-op) while disabled. ProbeScope is the RAII form.
+  uint64_t BeginProbe(uint32_t name, DomainId domain);
+  uint64_t BeginProbe(uint32_t name);
+  void EndProbe(uint64_t token);
+
   // --- Latency histograms -----------------------------------------------------
 
+  // Registers a histogram keyed by `name`'s id and returns that id.
   uint32_t InternHistogram(std::string_view name);
   void RecordLatency(uint32_t id, uint64_t value) {
     if (enabled_) {
       histograms_[id].Record(value);
     }
   }
-  const LogHistogram& Histogram(uint32_t id) const { return histograms_.at(id); }
-  const std::string& HistogramName(uint32_t id) const { return histogram_names_.at(id); }
   // Name-sorted walk — export iteration order.
   void ForEachHistogram(
       const std::function<void(const std::string&, const LogHistogram&)>& fn) const;
@@ -180,6 +187,9 @@ class Tracer {
  private:
   void Emit(TraceEvent event);
 
+  // BeginProbe's token for a frame-only probe (span tokens count up from 1).
+  static constexpr uint64_t kFrameOnly = ~0ull;
+
   struct OpenSpan {
     uint64_t token = 0;
     uint32_t name = 0;
@@ -187,11 +197,10 @@ class Tracer {
     uint64_t start = 0;
   };
 
+  NameTable& names_;
   bool enabled_ = false;
   std::function<uint64_t()> now_;
 
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, uint32_t> name_ids_;
   std::map<uint32_t, std::string> domain_names_;
 
   std::vector<TraceEvent> ring_;
@@ -200,61 +209,27 @@ class Tracer {
   uint64_t next_span_token_ = 1;
   uint64_t span_mismatches_ = 0;
 
-  std::vector<std::string> histogram_names_;
-  std::unordered_map<std::string, uint32_t> histograms_by_name_;
-  std::vector<LogHistogram> histograms_;
-
-  // Per-mechanism caches for OnCrossing (indexed by ledger mechanism id;
-  // name 0 / kNoHistogram mean "not yet cached").
-  static constexpr uint32_t kNoHistogram = 0xffffffffu;
-  std::vector<uint32_t> mech_name_ids_;
-  std::vector<uint32_t> mech_histogram_ids_;
+  std::unordered_map<uint32_t, LogHistogram> histograms_;  // name id -> histogram
 
   CycleProfiler profiler_;
 };
 
-// RAII span. Safe to construct while tracing is disabled (no-op), and to
-// destroy after tracing was disabled mid-span.
-class SpanScope {
+// RAII probe. ProbeScope(tracer, name, domain) opens a span and pushes a
+// profiler frame under the same name id; ProbeScope(tracer, name) pushes
+// the frame only. Safe to construct while tracing is disabled (no-op), and
+// to destroy after tracing was disabled mid-probe.
+class ProbeScope {
  public:
-  SpanScope(Tracer& tracer, uint32_t name, DomainId domain) : tracer_(tracer) {
-    if (tracer_.enabled()) {
-      token_ = tracer_.BeginSpan(name, domain);
-    }
-  }
-  ~SpanScope() {
-    if (token_ != 0) {
-      tracer_.EndSpan(token_);
-    }
-  }
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
+  ProbeScope(Tracer& tracer, uint32_t name, DomainId domain)
+      : tracer_(tracer), token_(tracer.BeginProbe(name, domain)) {}
+  ProbeScope(Tracer& tracer, uint32_t name) : tracer_(tracer), token_(tracer.BeginProbe(name)) {}
+  ~ProbeScope() { tracer_.EndProbe(token_); }
+  ProbeScope(const ProbeScope&) = delete;
+  ProbeScope& operator=(const ProbeScope&) = delete;
 
  private:
   Tracer& tracer_;
-  uint64_t token_ = 0;
-};
-
-// RAII profiler frame.
-class ProfScope {
- public:
-  ProfScope(Tracer& tracer, uint32_t frame) : tracer_(tracer) {
-    if (tracer_.enabled()) {
-      tracer_.profiler().Push(frame);
-      pushed_ = true;
-    }
-  }
-  ~ProfScope() {
-    if (pushed_) {
-      tracer_.profiler().Pop();
-    }
-  }
-  ProfScope(const ProfScope&) = delete;
-  ProfScope& operator=(const ProfScope&) = delete;
-
- private:
-  Tracer& tracer_;
-  bool pushed_ = false;
+  uint64_t token_;
 };
 
 }  // namespace ukvm

@@ -173,11 +173,14 @@ bool WriteJsonIfRequested(const std::string& experiment_id) {
   for (const RecordedTable& table : JsonRegistry()) {
     (table.host_time ? host : det).push_back(&table);
   }
-  std::string det_path = dir;
-  det_path += "/BENCH_";
-  det_path += experiment_id;
-  det_path += ".json";
-  bool ok = WriteTableSet(experiment_id, det_path, det);
+  bool ok = true;
+  if (!det.empty() || host.empty()) {
+    std::string det_path = dir;
+    det_path += "/BENCH_";
+    det_path += experiment_id;
+    det_path += ".json";
+    ok = WriteTableSet(experiment_id, det_path, det);
+  }
   if (!host.empty()) {
     std::string host_path = dir;
     host_path += "/BENCH_";

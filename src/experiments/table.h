@@ -17,7 +17,8 @@ class Table {
   void AddRow(std::vector<std::string> cells);
   void Print() const;
 
-  // Flags this table as carrying host wall-clock measurements. Host-time
+  // Flags this table as carrying host-side data: wall-clock measurements,
+  // or E8's line counts of this repository's own sources. Host-time
   // tables are excluded from BENCH_<id>.json (which scripts/check.sh
   // compares bit-exact across runs) and land in BENCH_<id>_HOST.json
   // instead, so an experiment can report both deterministic counters and
@@ -45,8 +46,9 @@ void PrintHeading(const std::string& experiment_id, const std::string& descripti
 // Machine-readable export: every Table::Print() also records the table in a
 // process-global registry. When the environment variable UKVM_BENCH_JSON
 // names a directory, this writes the registry's deterministic tables as
-// <dir>/BENCH_<experiment_id>.json and — if any table was MarkHostTime()d —
-// the host-time tables as <dir>/BENCH_<experiment_id>_HOST.json, returning
+// <dir>/BENCH_<experiment_id>.json (skipped when every table is host-time)
+// and — if any table was MarkHostTime()d — the host-time tables as
+// <dir>/BENCH_<experiment_id>_HOST.json, returning
 // true; otherwise it is a no-op. Bench binaries call it once at the end of
 // main (scripts/bench.sh sets the variable and collects the files;
 // scripts/check.sh compares only the deterministic file bit-exact).

@@ -104,7 +104,7 @@ std::string CollapsedStacks(const ukvm::Tracer& tracer) {
         } else {
           for (uint32_t frame : path) {
             out += ';';
-            out += tracer.profiler().FrameName(frame);
+            out += tracer.Name(frame);
           }
         }
         out += ' ';

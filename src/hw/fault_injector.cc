@@ -41,7 +41,6 @@ FaultInjector::Stream FaultInjector::MakeStream(const FaultRate& rate, uint64_t 
   // stream.
   s.rng_state = plan_.seed * 0x9e3779b97f4a7c15ull + stream_id;
   s.counter_id = machine_.counters().Intern(counter_name);
-  s.trace_name = machine_.tracer().InternName(counter_name);
   return s;
 }
 
@@ -60,7 +59,7 @@ bool FaultInjector::Fire(Stream& s) {
     return false;
   }
   machine_.counters().Add(s.counter_id);
-  machine_.tracer().Instant(s.trace_name, ukvm::kHardwareDomain);
+  machine_.tracer().Instant(s.counter_id, ukvm::kHardwareDomain);
   ++injected_total_;
   return true;
 }

@@ -91,8 +91,7 @@ class FaultInjector {
   struct Stream {
     FaultRate rate;
     uint64_t rng_state = 0;
-    uint32_t counter_id = 0;
-    uint32_t trace_name = 0;
+    uint32_t counter_id = 0;  // a name id: names the counter and the trace instant
   };
 
   Stream MakeStream(const FaultRate& rate, uint64_t stream_id, const char* counter_name);

@@ -26,11 +26,11 @@ Machine::Machine(Platform platform, uint64_t memory_bytes, uint32_t num_vcpus)
   ledger_.SetTimeSource([this] { return now_; });
   tracer_.SetTimeSource([this] { return now_; });
   reqtrace_.SetTimeSource([this] { return now_; });
-  trace_idle_frame_ = tracer_.profiler().InternFrame("idle");
-  trace_irq_assert_name_ = tracer_.InternName("irq.assert");
-  trace_irq_deliver_name_ = tracer_.InternName("irq.deliver");
+  trace_idle_ = names_.Intern("idle");
+  trace_irq_assert_ = names_.Intern("irq.assert");
+  trace_irq_deliver_ = names_.Intern("irq.deliver");
   irq_controller_.SetTraceHook([this](ukvm::IrqLine line, bool delivered) {
-    tracer_.Instant(delivered ? trace_irq_deliver_name_ : trace_irq_assert_name_,
+    tracer_.Instant(delivered ? trace_irq_deliver_ : trace_irq_assert_,
                     ukvm::kHardwareDomain, line.value());
   });
 }
@@ -119,7 +119,7 @@ bool Machine::HasPendingEvents() const { return events_.size() > cancelled_.size
 
 void Machine::AdvanceClockTo(uint64_t time) {
   if (time > now_) {
-    ukvm::ProfScope idle(tracer_, trace_idle_frame_);
+    ukvm::ProbeScope idle(tracer_, trace_idle_);
     accounting_.Charge(kIdleDomain, time - now_);
     vcpu_accounting_[current_vcpu_].Charge(kIdleDomain, time - now_);
     now_ = time;

@@ -62,6 +62,9 @@ class Machine {
   const Cpu& cpu(uint32_t vcpu) const { return *cpus_[vcpu]; }
   uint32_t num_vcpus() const { return static_cast<uint32_t>(cpus_.size()); }
   uint32_t current_vcpu() const { return current_vcpu_; }
+  // The one name table behind the ledger, counters, tracer and request
+  // tracer: a name interned here is the same id in all of them.
+  ukvm::NameTable& names() { return names_; }
   ukvm::CrossingLedger& ledger() { return ledger_; }
   ukvm::CpuAccounting& accounting() { return accounting_; }
   // Per-vCPU attribution (charges land on both this and the global table).
@@ -293,22 +296,23 @@ class Machine {
   IpiController ipis_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
   uint32_t current_vcpu_ = 0;
-  ukvm::CrossingLedger ledger_;
+  ukvm::NameTable names_;
+  ukvm::CrossingLedger ledger_{names_};
   ukvm::CpuAccounting accounting_;
   std::vector<ukvm::CpuAccounting> vcpu_accounting_;
   std::unordered_map<uint64_t, ShootdownRequest> shootdowns_;
   uint64_t next_shootdown_id_ = 1;
   std::vector<DeadSpace> dead_spaces_;
   ShootdownStats shootdown_stats_;
-  ukvm::Counters counters_;
-  ukvm::Tracer tracer_;
+  ukvm::Counters counters_{names_};
+  ukvm::Tracer tracer_{names_};
   uint32_t trace_sink_id_ = 0;
-  ukvm::RequestTrace reqtrace_;
+  ukvm::RequestTrace reqtrace_{names_};
   uint32_t reqtrace_sink_id_ = 0;
   bool postmortem_dumped_ = false;
-  uint32_t trace_idle_frame_ = 0;
-  uint32_t trace_irq_assert_name_ = 0;
-  uint32_t trace_irq_deliver_name_ = 0;
+  uint32_t trace_idle_ = 0;
+  uint32_t trace_irq_assert_ = 0;
+  uint32_t trace_irq_deliver_ = 0;
   TrapHandler* trap_handler_ = nullptr;
   std::function<void(const DmaAccess&)> dma_audit_hook_;
   RaceSink* race_sink_ = nullptr;

@@ -162,12 +162,12 @@ NativePort::NativePort(hwsim::Machine& machine, hwsim::Nic& nic, hwsim::Disk& di
       disk_irq_(disk.line()) {
   mech_syscall_ = machine_.ledger().InternMechanism("native.syscall", ukvm::CrossingKind::kTrap);
   mech_irq_ = machine_.ledger().InternMechanism("native.irq", ukvm::CrossingKind::kInterrupt);
-  auto& rt = machine_.reqtrace();
-  req_syscall_name_ = rt.InternName("os.syscall");
-  req_tx_name_ = rt.InternName("net.tx");
-  req_read_name_ = rt.InternName("blk.read");
-  req_write_name_ = rt.InternName("blk.write");
-  req_dev_name_ = rt.InternName("disk.io");
+  ukvm::NameTable& names = machine_.names();
+  req_syscall_name_ = names.Intern("os.syscall");
+  req_tx_name_ = names.Intern("net.tx");
+  req_read_name_ = names.Intern("blk.read");
+  req_write_name_ = names.Intern("blk.write");
+  req_dev_name_ = names.Intern("disk.io");
   net_dev_ = std::make_unique<NativeNet>(*this);
   block_dev_ = std::make_unique<NativeBlock>(*this, pool.back());
   console_dev_ = std::make_unique<NativeConsole>(*this);

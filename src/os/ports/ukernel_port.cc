@@ -22,10 +22,10 @@ using ukvm::ThreadId;
 class UkernelPort::IpcBlock : public BlockDevice {
  public:
   explicit IpcBlock(UkernelPort& port) : port_(port) {
-    auto& rt = port_.machine_.reqtrace();
-    req_read_name_ = rt.InternName("blk.read");
-    req_write_name_ = rt.InternName("blk.write");
-    req_replay_name_ = rt.InternName("recovery.replay");
+    ukvm::NameTable& names = port_.machine_.names();
+    req_read_name_ = names.Intern("blk.read");
+    req_write_name_ = names.Intern("blk.write");
+    req_replay_name_ = names.Intern("recovery.replay");
   }
 
   uint32_t block_size() const override {
@@ -221,7 +221,7 @@ class UkernelPort::IpcBlock : public BlockDevice {
 class UkernelPort::IpcNet : public NetDevice {
  public:
   explicit IpcNet(UkernelPort& port) : port_(port) {
-    req_tx_name_ = port_.machine_.reqtrace().InternName("net.tx");
+    req_tx_name_ = port_.machine_.names().Intern("net.tx");
   }
 
   Err Send(std::span<const uint8_t> packet) override {
@@ -282,7 +282,7 @@ class UkernelPort::PortConsole : public ConsoleDevice {
 UkernelPort::UkernelPort(hwsim::Machine& machine, UkernelPortWiring wiring)
     : machine_(machine), w_(wiring) {
   assert(w_.kernel != nullptr);
-  req_syscall_name_ = machine_.reqtrace().InternName("os.syscall");
+  req_syscall_name_ = machine_.names().Intern("os.syscall");
   net_dev_ = std::make_unique<IpcNet>(*this);
   block_dev_ = std::make_unique<IpcBlock>(*this);
   console_dev_ = std::make_unique<PortConsole>(*this);

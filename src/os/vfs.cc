@@ -23,7 +23,15 @@ Err Vfs::ReadBlock(uint64_t lba, std::span<uint8_t> out) { return dev_.Read(lba,
 
 Err Vfs::WriteBlock(uint64_t lba, std::span<const uint8_t> in) { return dev_.Write(lba, 1, in); }
 
+bool Vfs::GeometryFits() const {
+  const uint32_t bs = dev_.block_size();
+  return bs >= kInodeSize && bs >= sizeof(Superblock) && dev_.capacity_blocks() > DataStart();
+}
+
 Err Vfs::Format() {
+  if (!GeometryFits()) {
+    return Err::kInvalidArgument;
+  }
   const uint32_t bs = dev_.block_size();
   std::vector<uint8_t> block(bs, 0);
 
@@ -57,6 +65,9 @@ Err Vfs::Format() {
 }
 
 Err Vfs::Mount() {
+  if (!GeometryFits()) {
+    return Err::kInvalidArgument;
+  }
   std::vector<uint8_t> block(dev_.block_size());
   UKVM_TRY(ReadBlock(0, block));
   Superblock sb;

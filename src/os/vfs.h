@@ -41,7 +41,9 @@ class Vfs {
  public:
   explicit Vfs(BlockDevice& dev) : dev_(dev) {}
 
-  // Writes a fresh filesystem onto the device.
+  // Writes a fresh filesystem onto the device. Both return
+  // kInvalidArgument, touching no block, if the device cannot hold the
+  // layout (see GeometryFits).
   ukvm::Err Format();
   // Reads and validates the superblock.
   ukvm::Err Mount();
@@ -80,6 +82,10 @@ class Vfs {
     return static_cast<uint32_t>((dev_.capacity_blocks() + bits_per_block - 1) / bits_per_block);
   }
   uint32_t DataStart() const { return BitmapStart() + BitmapBlocks(); }
+  // Blocks hold an inode and the superblock, and the device holds the
+  // metadata plus at least one data block. The layout math above divides
+  // by InodesPerBlock(), so nothing may run before this check passes.
+  bool GeometryFits() const;
 
   ukvm::Err ReadBlock(uint64_t lba, std::span<uint8_t> out);
   ukvm::Err WriteBlock(uint64_t lba, std::span<const uint8_t> in);

@@ -46,7 +46,7 @@ BlkBack::BlkBack(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId backend
       slice_blocks_(slice_blocks),
       mux_(mux),
       health_(machine, "vmm.blk") {
-  req_dev_name_ = machine_.reqtrace().InternName("disk.io");
+  req_dev_name_ = machine_.names().Intern("disk.io");
 }
 
 uint32_t BlkBack::block_size() const {
@@ -183,12 +183,12 @@ BlkFront::BlkFront(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId guest
     : machine_(machine), hv_(hv), guest_(guest), mux_(mux),
       free_pfns_(pool.begin(), pool.end()), xenbus_(machine, "blk", guest) {
   hist_blk_e2e_ = machine_.tracer().InternHistogram("blk.e2e");
-  auto& rt = machine_.reqtrace();
-  req_write_name_ = rt.InternName("blk.write");
-  req_read_name_ = rt.InternName("blk.read");
-  req_rec_detect_name_ = rt.InternName("recovery.detect");
-  req_rec_reconnect_name_ = rt.InternName("recovery.reconnect");
-  req_rec_replay_name_ = rt.InternName("recovery.replay");
+  ukvm::NameTable& names = machine_.names();
+  req_write_name_ = names.Intern("blk.write");
+  req_read_name_ = names.Intern("blk.read");
+  req_rec_detect_name_ = names.Intern("recovery.detect");
+  req_rec_reconnect_name_ = names.Intern("recovery.reconnect");
+  req_rec_replay_name_ = names.Intern("recovery.replay");
 }
 
 BlkFront::~BlkFront() {

@@ -25,8 +25,7 @@ NativeStack::NativeStack(Config config)
   port_ = std::make_unique<minios::NativePort>(machine_, nic_, disk_, kOsDomain,
                                                std::move(pool));
   os_ = std::make_unique<minios::Os>(machine_, *port_, "native-os");
-  ukvm::ProfScope boot_frame(machine_.tracer(),
-                             machine_.tracer().profiler().InternFrame("guest.boot"));
+  ukvm::ProbeScope boot_frame(machine_.tracer(), machine_.names().Intern("guest.boot"));
   const ukvm::Err err = os_->Boot(/*format_disk=*/true);
   assert(err == ukvm::Err::kNone);
   (void)err;

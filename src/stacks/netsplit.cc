@@ -50,9 +50,9 @@ NetBack::NetBack(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId backend
     : machine_(machine), hv_(hv), backend_(backend), driver_(driver), mode_(mode), mux_(mux),
       health_(machine, "vmm.net") {
   hist_rx_backlog_ = machine_.tracer().InternHistogram("net.rx.backlog");
-  req_rx_name_ = machine_.reqtrace().InternName("net.rx");
-  req_flush_name_ = machine_.reqtrace().InternName("net.rx.flush");
-  req_dev_name_ = machine_.reqtrace().InternName("nic.send");
+  req_rx_name_ = machine_.names().Intern("net.rx");
+  req_flush_name_ = machine_.names().Intern("net.rx.flush");
+  req_dev_name_ = machine_.names().Intern("nic.send");
 }
 
 NetChannel* NetBack::Connect(DomainId guest) {
@@ -347,7 +347,7 @@ NetFront::NetFront(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId guest
       free_pfns_(pool.begin(), pool.end()), pool_(std::move(pool)),
       xenbus_(machine, "net", guest) {
   hist_tx_e2e_ = machine_.tracer().InternHistogram("net.tx.e2e");
-  req_tx_name_ = machine_.reqtrace().InternName("net.tx");
+  req_tx_name_ = machine_.names().Intern("net.tx");
 }
 
 void NetFront::OnBackendDead(DomainId dead) {

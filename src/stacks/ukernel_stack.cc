@@ -139,8 +139,7 @@ std::unique_ptr<UkernelStack::Guest> UkernelStack::MakeGuest(const std::string& 
     g->xenbus->OnConnected();
   }
   g->os = std::make_unique<minios::Os>(machine_, *g->port, name);
-  ukvm::ProfScope boot_frame(machine_.tracer(),
-                             machine_.tracer().profiler().InternFrame("guest.boot"));
+  ukvm::ProbeScope boot_frame(machine_.tracer(), machine_.names().Intern("guest.boot"));
   const Err boot = g->os->Boot(/*format_disk=*/true);
   g->booted = boot == Err::kNone;
   if (!g->booted) {
@@ -151,8 +150,7 @@ std::unique_ptr<UkernelStack::Guest> UkernelStack::MakeGuest(const std::string& 
 
 Err UkernelStack::RunAsApp(size_t i, const std::function<void()>& fn) {
   Guest& g = guest(i);
-  ukvm::ProfScope app_frame(machine_.tracer(),
-                            machine_.tracer().profiler().InternFrame("guest.app"));
+  ukvm::ProbeScope app_frame(machine_.tracer(), machine_.names().Intern("guest.app"));
   UKVM_TRY(kernel_->ActivateThread(g.app_thread));
   fn();
   return Err::kNone;

@@ -211,8 +211,7 @@ std::unique_ptr<VmmStack::Guest> VmmStack::MakeGuest(const std::string& name,
   g->port = std::make_unique<minios::VmmPort>(machine_, *hv_, g->domain, g->netfront.get(),
                                               g->blkfront.get(), config.request_fast_syscall);
   g->os = std::make_unique<minios::Os>(machine_, *g->port, name);
-  ukvm::ProfScope boot_frame(machine_.tracer(),
-                             machine_.tracer().profiler().InternFrame("guest.boot"));
+  ukvm::ProbeScope boot_frame(machine_.tracer(), machine_.names().Intern("guest.boot"));
   const Err boot = g->os->Boot(/*format_disk=*/true);
   g->booted = boot == Err::kNone;
   if (!g->booted) {
@@ -222,8 +221,7 @@ std::unique_ptr<VmmStack::Guest> VmmStack::MakeGuest(const std::string& name,
 }
 
 Err VmmStack::RunAsApp(size_t i, const std::function<void()>& fn) {
-  ukvm::ProfScope app_frame(machine_.tracer(),
-                            machine_.tracer().profiler().InternFrame("guest.app"));
+  ukvm::ProbeScope app_frame(machine_.tracer(), machine_.names().Intern("guest.app"));
   return hv_->RunGuestUser(guest(i).domain, fn);
 }
 

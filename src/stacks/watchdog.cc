@@ -97,13 +97,10 @@ void Watchdog::RunProbe(Service& svc) {
   machine_.PostMortemDump("watchdog-restart");
   svc.restart();
   ++svc.stats.restarts;
-  machine_.counters().AddNamed("watchdog.restart");
-  if (machine_.tracer().enabled()) {
-    if (trace_restart_name_ == 0) {
-      trace_restart_name_ = machine_.tracer().InternName("watchdog.restart");
-    }
-    machine_.tracer().Instant(trace_restart_name_, ukvm::kHardwareDomain, svc.stats.restarts);
-  }
+  // One name-table id serves as the counter and the flight-recorder instant.
+  const uint32_t restart = machine_.counters().Intern("watchdog.restart");
+  machine_.counters().Add(restart);
+  machine_.tracer().Instant(restart, ukvm::kHardwareDomain, svc.stats.restarts);
   svc.consecutive_failures = 0;
   // Give the restarted service room to come up — and back off harder each
   // time in case the underlying device is still sick.

@@ -125,7 +125,6 @@ class Watchdog {
   hwsim::Machine& machine_;
   Policy policy_;
   std::vector<Service> services_;
-  uint32_t trace_restart_name_ = 0;
   mutable std::vector<ServiceStats> stats_snapshot_;
 };
 

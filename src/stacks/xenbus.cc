@@ -23,8 +23,8 @@ XenbusConn::XenbusConn(hwsim::Machine& machine, std::string_view service,
                        ukvm::DomainId domain)
     : machine_(machine), service_(service), domain_(domain) {
   auto& tracer = machine_.tracer();
-  trace_state_name_ = tracer.InternName("xenbus." + service_ + ".state");
-  trace_recovery_name_ = tracer.InternName("xenbus." + service_ + ".recovery");
+  trace_state_name_ = machine_.names().Intern("xenbus." + service_ + ".state");
+  trace_recovery_name_ = machine_.names().Intern("xenbus." + service_ + ".recovery");
   hist_detect_ = tracer.InternHistogram("recovery.detect");
   hist_reclaim_ = tracer.InternHistogram("recovery.reclaim");
   hist_reconnect_ = tracer.InternHistogram("recovery.reconnect");

@@ -26,21 +26,7 @@ Kernel::Kernel(hwsim::Machine& machine) : machine_(machine) {
   mech_.unmap = ledger.InternMechanism("l4.unmap", CrossingKind::kResourceDelegate);
   mech_.irq_ipc = ledger.InternMechanism("l4.irq.ipc", CrossingKind::kInterrupt);
   mech_.pf_ipc = ledger.InternMechanism("l4.pf.ipc", CrossingKind::kSyncCall);
-  ukvm::Tracer& tracer = machine_.tracer();
-  ukvm::CycleProfiler& prof = tracer.profiler();
-  trace_.call_name = tracer.InternName("l4.ipc.call");
-  trace_.call_frame = prof.InternFrame("l4.ipc.call");
-  trace_.send_name = tracer.InternName("l4.ipc.send");
-  trace_.send_frame = prof.InternFrame("l4.ipc.send");
-  trace_.notify_name = tracer.InternName("l4.ipc.notify");
-  trace_.notify_frame = prof.InternFrame("l4.ipc.notify");
-  trace_.unmap_name = tracer.InternName("l4.unmap");
-  trace_.unmap_frame = prof.InternFrame("l4.unmap");
-  trace_.irq_name = tracer.InternName("l4.irq.ipc");
-  trace_.irq_frame = prof.InternFrame("l4.irq.ipc");
-  trace_.pf_name = tracer.InternName("l4.pf.ipc");
-  trace_.pf_frame = prof.InternFrame("l4.pf.ipc");
-  req_pf_name_ = machine_.reqtrace().InternName("l4.pf");
+  req_pf_name_ = machine_.names().Intern("l4.pf");
   string_windows_.resize(machine_.num_vcpus());
   machine_.SetTrapHandler(this);
 }
@@ -552,8 +538,7 @@ void Kernel::InvalidateStringWindow(const hwsim::PageTable& space, hwsim::Vaddr 
 IpcMessage Kernel::CallFast(ThreadId caller, ThreadId dest, IpcMessage msg) {
   Tcb* c = FindThread(caller);
   Tcb* d = FindThread(dest);
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.call_name, c->task);
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.call_frame);
+  ukvm::ProbeScope probe(machine_.tracer(), MechName(mech_.ipc_call), c->task);
   const uint64_t t0 = machine_.Now();
   EnterKernelFast();
   ++ipc_calls_;
@@ -675,9 +660,8 @@ IpcMessage Kernel::Call(ThreadId caller, ThreadId dest, IpcMessage msg) {
   }
   Tcb* c = FindThread(caller);
   Tcb* d = FindThread(dest);
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.call_name,
-                             c != nullptr ? c->task : DomainId::Invalid());
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.call_frame);
+  ukvm::ProbeScope probe(machine_.tracer(), MechName(mech_.ipc_call),
+                         c != nullptr ? c->task : DomainId::Invalid());
   const uint64_t t0 = machine_.Now();
   EnterKernel();
   ++ipc_calls_;
@@ -770,8 +754,7 @@ IpcMessage Kernel::Call(ThreadId caller, ThreadId dest, IpcMessage msg) {
 Err Kernel::SendFast(ThreadId caller, ThreadId dest, IpcMessage msg) {
   Tcb* c = FindThread(caller);
   Tcb* d = FindThread(dest);
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.send_name, c->task);
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.send_frame);
+  ukvm::ProbeScope probe(machine_.tracer(), MechName(mech_.ipc_send), c->task);
   EnterKernelFast();
   ++ipc_calls_;
   ++fastpath_stats_.send_fast;
@@ -806,9 +789,8 @@ Err Kernel::Send(ThreadId caller, ThreadId dest, IpcMessage msg) {
   }
   Tcb* c = FindThread(caller);
   Tcb* d = FindThread(dest);
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.send_name,
-                             c != nullptr ? c->task : DomainId::Invalid());
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.send_frame);
+  ukvm::ProbeScope probe(machine_.tracer(), MechName(mech_.ipc_send),
+                         c != nullptr ? c->task : DomainId::Invalid());
   EnterKernel();
   ++ipc_calls_;
   machine_.Charge(machine_.costs().kernel_op);
@@ -837,8 +819,7 @@ Err Kernel::Send(ThreadId caller, ThreadId dest, IpcMessage msg) {
 }
 
 Err Kernel::NotifyFast(Tcb& dest, uint64_t bits) {
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.notify_name, dest.task);
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.notify_frame);
+  ukvm::ProbeScope probe(machine_.tracer(), MechName(mech_.ipc_notify), dest.task);
   ++fastpath_stats_.notify_fast;
   // The latch discipline is identical to the slow path: new bits merge into
   // the pending set first, and the handler consumes the whole merged set.
@@ -881,8 +862,7 @@ Err Kernel::Notify(ThreadId dest, uint64_t bits) {
     }
     ++fastpath_stats_.notify_slow;
   }
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.notify_name, d->task);
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.notify_frame);
+  ukvm::ProbeScope probe(machine_.tracer(), MechName(mech_.ipc_notify), d->task);
   machine_.ChargeTo(kKernelDomain, machine_.costs().kernel_op);
   d->pending_notify_bits |= bits;
   ++d->notifications;
@@ -963,8 +943,7 @@ Err Kernel::Unmap(DomainId task, hwsim::Vaddr va, uint32_t pages, bool include_s
   if (t == nullptr || !t->alive) {
     return Err::kBadHandle;
   }
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.unmap_name, task);
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.unmap_frame);
+  ukvm::ProbeScope probe(machine_.tracer(), MechName(mech_.unmap), task);
   const uint64_t t0 = machine_.Now();
   EnterKernel();
   machine_.Charge(machine_.costs().kernel_op);
@@ -1030,8 +1009,7 @@ Err Kernel::DoResolveFault(ThreadId thread, hwsim::Vaddr va, bool write) {
   }
   const DomainId pager_task_id = pager->task;
 
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.pf_name, tcb->task);
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.pf_frame);
+  ukvm::ProbeScope probe(machine_.tracer(), MechName(mech_.pf_ipc), tcb->task);
   const uint64_t t0 = machine_.Now();
   // Synthesized page-fault IPC, as the L4 pager protocol specifies.
   IpcMessage fault = IpcMessage::Short(kPageFaultLabel, va, write ? 1 : 0);
@@ -1176,8 +1154,7 @@ void Kernel::HandleInterrupt(IrqLine line) {
     return;  // driver died; interrupt is dropped
   }
   const ThreadId prev = current_thread_;
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.irq_name, handler->task);
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.irq_frame);
+  ukvm::ProbeScope probe(machine_.tracer(), MechName(mech_.irq_ipc), handler->task);
   const uint64_t t0 = machine_.Now();
   EnterKernel();
   machine_.Charge(machine_.costs().kernel_op);

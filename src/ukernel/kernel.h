@@ -231,22 +231,9 @@ class Kernel : public hwsim::TrapHandler {
     uint32_t pf_ipc;
   };
 
-  // E17 trace ids (span names and profiler frames), interned at
-  // construction so the IPC hot path never allocates.
-  struct TraceIds {
-    uint32_t call_name = 0;
-    uint32_t call_frame = 0;
-    uint32_t send_name = 0;
-    uint32_t send_frame = 0;
-    uint32_t notify_name = 0;
-    uint32_t notify_frame = 0;
-    uint32_t unmap_name = 0;
-    uint32_t unmap_frame = 0;
-    uint32_t irq_name = 0;
-    uint32_t irq_frame = 0;
-    uint32_t pf_name = 0;
-    uint32_t pf_frame = 0;
-  };
+  // Name id of a mechanism: the E17 probe covering an IPC operation runs
+  // under the name its ledger mechanism registered.
+  uint32_t MechName(uint32_t mechanism) const { return machine_.ledger().NameId(mechanism); }
 
   // Charges syscall entry (user -> kernel trap) and sets kernel context.
   void EnterKernel();
@@ -316,7 +303,6 @@ class Kernel : public hwsim::TrapHandler {
 
   hwsim::Machine& machine_;
   MechanismIds mech_;
-  TraceIds trace_;
 
   std::unordered_map<ukvm::DomainId, std::unique_ptr<Task>> tasks_;
   std::unordered_map<ukvm::ThreadId, std::unique_ptr<Tcb>> threads_;

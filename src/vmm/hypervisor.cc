@@ -56,7 +56,7 @@ Hypervisor::Hypervisor(hwsim::Machine& machine, Config config)
       pt_virt_(machine, config.hole_base, config.hole_end) {
   evtchn_ = std::make_unique<EventChannelTable>(
       [this](DomainId target, uint32_t port) { DeliverUpcall(target, port); }, &machine_);
-  const uint32_t evtchn_trace_name = machine_.tracer().InternName("evtchn.send");
+  const uint32_t evtchn_trace_name = machine_.names().Intern("evtchn.send");
   evtchn_->SetTraceHook([this, evtchn_trace_name](DomainId target, uint32_t port,
                                                   bool coalesced) {
     machine_.tracer().Instant(evtchn_trace_name, target, port, coalesced ? 1 : 0);
@@ -73,18 +73,13 @@ Hypervisor::Hypervisor(hwsim::Machine& machine, Config config)
       ledger.InternMechanism("xen.hypercall.return", CrossingKind::kSyncReply);
   mech_virq_ = ledger.InternMechanism("xen.virq", CrossingKind::kInterrupt);
   mech_upcall_ = ledger.InternMechanism("xen.evtchn.send", CrossingKind::kAsyncNotify);
-  ukvm::Tracer& tracer = machine_.tracer();
+  ukvm::NameTable& names = machine_.names();
   for (uint32_t i = 0; i < kHypercallCount; ++i) {
-    const std::string name =
-        std::string("xen.hc.") + HypercallName(static_cast<HypercallNr>(i));
-    trace_span_names_[i] = tracer.InternName(name);
-    trace_frames_[i] = tracer.profiler().InternFrame(name);
+    trace_hc_names_[i] =
+        names.Intern(std::string("xen.hc.") + HypercallName(static_cast<HypercallNr>(i)));
   }
-  trace_upcall_name_ = tracer.InternName("xen.upcall");
-  trace_upcall_frame_ = tracer.profiler().InternFrame("xen.upcall");
-  trace_softirq_name_ = tracer.InternName("xen.softirq");
-  trace_softirq_frame_ = tracer.profiler().InternFrame("xen.softirq");
-  trace_virq_frame_ = tracer.profiler().InternFrame("xen.virq");
+  trace_upcall_ = names.Intern("xen.upcall");
+  trace_softirq_ = names.Intern("xen.softirq");
   machine_.SetTrapHandler(this);
 }
 
@@ -206,18 +201,11 @@ Domain* Hypervisor::HypercallProlog(DomainId dom, HypercallNr nr) {
   if (d == nullptr || !d->alive) {
     return nullptr;
   }
-  // Open the trace span/frame before the entry charge so the whole
-  // hypercall — entry cost included — lands inside it. The epilog pops;
-  // pairing holds because upcall reentrancy nests hypercalls LIFO.
-  ukvm::Tracer& tracer = machine_.tracer();
-  HcTrace trace;
-  if (tracer.enabled()) {
-    const auto i = static_cast<size_t>(nr);
-    trace.span = tracer.BeginSpan(trace_span_names_[i], dom);
-    tracer.profiler().Push(trace_frames_[i]);
-    trace.pushed = true;
-  }
-  hc_trace_stack_.push_back(trace);
+  // Open the trace probe before the entry charge so the whole hypercall —
+  // entry cost included — lands inside it. The epilog closes it; pairing
+  // holds because upcall reentrancy nests hypercalls LIFO.
+  hc_trace_stack_.push_back(
+      machine_.tracer().BeginProbe(trace_hc_names_[static_cast<size_t>(nr)], dom));
   machine_.Charge(machine_.costs().hypercall_entry);
   sched_.EnterHypervisor();
   ++d->hypercalls;
@@ -247,12 +235,8 @@ void Hypervisor::HypercallEpilog(Domain* dom) {
     }
   }
   assert(!hc_trace_stack_.empty());
-  const HcTrace trace = hc_trace_stack_.back();
+  machine_.tracer().EndProbe(hc_trace_stack_.back());
   hc_trace_stack_.pop_back();
-  if (trace.pushed) {
-    machine_.tracer().profiler().Pop();
-  }
-  machine_.tracer().EndSpan(trace.span);
 }
 
 uint64_t Hypervisor::HypercallCountOf(HypercallNr nr) const {
@@ -634,8 +618,7 @@ Err Hypervisor::RunAsDomainKernel(DomainId dom, const std::function<void()>& fn)
   const hwsim::PrivLevel prev_mode = machine_.cpu().mode();
   const DomainId prev_domain = machine_.cpu().current_domain();
 
-  ukvm::SpanScope span(machine_.tracer(), trace_softirq_name_, dom);
-  ukvm::ProfScope frame(machine_.tracer(), trace_softirq_frame_);
+  ukvm::ProbeScope probe(machine_.tracer(), trace_softirq_, dom);
   machine_.Charge(machine_.costs().kernel_op);  // softirq dispatch
   sched_.SwitchTo(*d, hwsim::PrivLevel::kGuestKernel);
   fn();
@@ -687,8 +670,7 @@ void Hypervisor::DeliverUpcall(DomainId target, uint32_t port) {
   const hwsim::PrivLevel prev_mode = machine_.cpu().mode();
   const DomainId prev_domain = machine_.cpu().current_domain();
 
-  ukvm::SpanScope span(machine_.tracer(), trace_upcall_name_, target);
-  ukvm::ProfScope frame(machine_.tracer(), trace_upcall_frame_);
+  ukvm::ProbeScope probe(machine_.tracer(), trace_upcall_, target);
   machine_.Charge(machine_.costs().interrupt_dispatch);
   sched_.SwitchTo(*d, hwsim::PrivLevel::kGuestKernel);
   if (hwsim::RaceSink* rs = machine_.race_sink()) {
@@ -727,8 +709,7 @@ void Hypervisor::DeliverDomainDead(DomainId target, DomainId dead) {
   const hwsim::PrivLevel prev_mode = machine_.cpu().mode();
   const DomainId prev_domain = machine_.cpu().current_domain();
 
-  ukvm::SpanScope span(machine_.tracer(), trace_upcall_name_, target);
-  ukvm::ProfScope frame(machine_.tracer(), trace_upcall_frame_);
+  ukvm::ProbeScope probe(machine_.tracer(), trace_upcall_, target);
   machine_.Charge(machine_.costs().interrupt_dispatch);
   sched_.SwitchTo(*d, hwsim::PrivLevel::kGuestKernel);
   ++d->upcalls;
@@ -769,7 +750,7 @@ void Hypervisor::HandleInterrupt(IrqLine line) {
   }
   const auto [target, port] = it->second;
   // Interrupt demultiplexing is genuine hypervisor work.
-  ukvm::ProfScope frame(machine_.tracer(), trace_virq_frame_);
+  ukvm::ProbeScope probe(machine_.tracer(), machine_.ledger().NameId(mech_virq_));
   machine_.ChargeTo(kVmmDomain, machine_.costs().kernel_op);
   machine_.ledger().Record(mech_virq_, ukvm::kHardwareDomain, target, 0, 0);
   Domain* d = FindDomain(target);

@@ -268,22 +268,14 @@ class Hypervisor : public hwsim::TrapHandler {
   uint32_t mech_virq_ = 0;
   uint32_t mech_upcall_ = 0;
 
-  // E17: per-hypercall span names and profiler frames, interned at
-  // construction so the prolog/epilog hot path is allocation-free. The
-  // stack mirrors hypercall nesting (upcall handlers issue hypercalls of
-  // their own), pairing each prolog's span with its epilog.
-  struct HcTrace {
-    uint64_t span = 0;
-    bool pushed = false;
-  };
-  std::array<uint32_t, kHypercallCount> trace_span_names_{};
-  std::array<uint32_t, kHypercallCount> trace_frames_{};
-  std::vector<HcTrace> hc_trace_stack_;
-  uint32_t trace_upcall_name_ = 0;
-  uint32_t trace_upcall_frame_ = 0;
-  uint32_t trace_softirq_name_ = 0;
-  uint32_t trace_softirq_frame_ = 0;
-  uint32_t trace_virq_frame_ = 0;
+  // E17: per-hypercall probe names, interned at construction so the
+  // prolog/epilog hot path is allocation-free. The stack of probe tokens
+  // mirrors hypercall nesting (upcall handlers issue hypercalls of their
+  // own), pairing each prolog's probe with its epilog.
+  std::array<uint32_t, kHypercallCount> trace_hc_names_{};
+  std::vector<uint64_t> hc_trace_stack_;
+  uint32_t trace_upcall_ = 0;
+  uint32_t trace_softirq_ = 0;
 
   std::array<uint64_t, kHypercallCount> hypercall_counts_{};
   uint64_t total_hypercalls_ = 0;

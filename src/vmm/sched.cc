@@ -5,13 +5,8 @@ namespace uvmm {
 void DomainScheduler::SwitchTo(Domain& dom, hwsim::PrivLevel level) {
   hwsim::Cpu& cpu = machine_.cpu();
   if (current_ != &dom) {
-    if (machine_.tracer().enabled()) {
-      if (trace_switch_name_ == 0) {
-        trace_switch_name_ = machine_.tracer().InternName("sched.switch");
-      }
-      machine_.tracer().Instant(trace_switch_name_, dom.id,
-                                current_ != nullptr ? current_->id.value() : 0);
-    }
+    machine_.tracer().Instant(trace_switch_, dom.id,
+                              current_ != nullptr ? current_->id.value() : 0);
     machine_.Charge(machine_.costs().schedule_decision);
     cpu.SwitchAddressSpace(&dom.space);
     cpu.SetSegments(&dom.segments);

@@ -22,7 +22,8 @@ namespace uvmm {
 
 class DomainScheduler {
  public:
-  explicit DomainScheduler(hwsim::Machine& machine) : machine_(machine) {}
+  explicit DomainScheduler(hwsim::Machine& machine)
+      : machine_(machine), trace_switch_(machine.names().Intern("sched.switch")) {}
 
   // Switches the CPU into `dom`'s context at the given privilege. A switch
   // to the domain already running charges nothing architectural.
@@ -58,7 +59,7 @@ class DomainScheduler {
   hwsim::Machine& machine_;
   Domain* current_ = nullptr;
   uint64_t switches_ = 0;
-  uint32_t trace_switch_name_ = 0;  // lazily interned (0 = unset)
+  uint32_t trace_switch_;
   std::unordered_map<ukvm::DomainId, uint32_t> weights_;
 };
 

@@ -86,7 +86,8 @@ TEST(Error, TryMacroPropagates) {
 }
 
 TEST(Crossings, RecordAggregates) {
-  CrossingLedger ledger;
+  ukvm::NameTable names;
+  CrossingLedger ledger(names);
   const uint32_t call = ledger.InternMechanism("x.call", CrossingKind::kSyncCall);
   const uint32_t xfer = ledger.InternMechanism("x.xfer", CrossingKind::kDataTransfer);
   ledger.Record(call, DomainId(1), DomainId(2), 100, 0);
@@ -105,19 +106,22 @@ TEST(Crossings, RecordAggregates) {
 }
 
 TEST(Crossings, InternIsIdempotent) {
-  CrossingLedger ledger;
+  ukvm::NameTable names;
+  CrossingLedger ledger(names);
   const uint32_t a = ledger.InternMechanism("same", CrossingKind::kTrap);
   const uint32_t b = ledger.InternMechanism("same", CrossingKind::kTrap);
   EXPECT_EQ(a, b);
 }
 
 TEST(Crossings, UnknownMechanismIsZero) {
-  CrossingLedger ledger;
+  ukvm::NameTable names;
+  CrossingLedger ledger(names);
   EXPECT_EQ(ledger.StatsFor("nope").count, 0u);
 }
 
 TEST(Crossings, SnapshotDiff) {
-  CrossingLedger ledger;
+  ukvm::NameTable names;
+  CrossingLedger ledger(names);
   const uint32_t call = ledger.InternMechanism("m", CrossingKind::kSyncCall);
   ledger.Record(call, DomainId(1), DomainId(2), 10, 0);
   const CrossingSnapshot before = ledger.Snapshot();
@@ -131,7 +135,8 @@ TEST(Crossings, SnapshotDiff) {
 }
 
 TEST(Crossings, IpcLikeExcludesInterrupts) {
-  CrossingLedger ledger;
+  ukvm::NameTable names;
+  CrossingLedger ledger(names);
   const uint32_t irq = ledger.InternMechanism("irq", CrossingKind::kInterrupt);
   const uint32_t call = ledger.InternMechanism("call", CrossingKind::kSyncCall);
   ledger.Record(irq, DomainId(1), DomainId(2), 0, 0);
@@ -140,7 +145,8 @@ TEST(Crossings, IpcLikeExcludesInterrupts) {
 }
 
 TEST(Crossings, ResetClearsCountsKeepsMechanisms) {
-  CrossingLedger ledger;
+  ukvm::NameTable names;
+  CrossingLedger ledger(names);
   const uint32_t call = ledger.InternMechanism("m", CrossingKind::kSyncCall);
   ledger.Record(call, DomainId(1), DomainId(2), 10, 5);
   ledger.Reset();
@@ -171,7 +177,8 @@ TEST(Metrics, EmptyAccountingShareIsZero) {
 }
 
 TEST(Metrics, Counters) {
-  Counters counters;
+  ukvm::NameTable names;
+  Counters counters(names);
   const uint32_t id = counters.Intern("flips");
   counters.Add(id, 3);
   counters.AddNamed("flips");

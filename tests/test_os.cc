@@ -208,6 +208,66 @@ TEST_F(OsTest, MountRejectsUnformattedDevice) {
   EXPECT_EQ(vfs.Mount(), Err::kInvalidArgument);
 }
 
+// A block device with a chosen geometry that counts every access, so a test
+// can tell that the VFS refused it without touching a single block.
+class GeometryDevice : public BlockDevice {
+ public:
+  GeometryDevice(uint32_t block_size, uint64_t capacity_blocks)
+      : block_size_(block_size), capacity_(capacity_blocks) {}
+
+  uint32_t block_size() const override { return block_size_; }
+  uint64_t capacity_blocks() const override { return capacity_; }
+  Err Read(uint64_t lba, uint32_t count, std::span<uint8_t> out) override {
+    ++accesses;
+    return Check(lba, count, out.size());
+  }
+  Err Write(uint64_t lba, uint32_t count, std::span<const uint8_t> in) override {
+    ++accesses;
+    return Check(lba, count, in.size());
+  }
+
+  int accesses = 0;
+
+ private:
+  Err Check(uint64_t lba, uint32_t count, size_t bytes) const {
+    if (lba + count > capacity_ || bytes < uint64_t{count} * block_size_) {
+      return Err::kOutOfRange;
+    }
+    return Err::kNone;
+  }
+
+  uint32_t block_size_;
+  uint64_t capacity_;
+};
+
+TEST(VfsGeometry, ZeroBlockSizeIsInvalidArgument) {
+  // A block-server slice past the end of the disk reports block_size() == 0;
+  // the layout math would divide by zero and copy the superblock into an
+  // empty buffer.
+  GeometryDevice dev(/*block_size=*/0, /*capacity_blocks=*/0);
+  Vfs vfs(dev);
+  EXPECT_EQ(vfs.Format(), Err::kInvalidArgument);
+  EXPECT_EQ(vfs.Mount(), Err::kInvalidArgument);
+  EXPECT_FALSE(vfs.mounted());
+  EXPECT_EQ(dev.accesses, 0);
+}
+
+TEST(VfsGeometry, TooSmallCapacityIsInvalidArgument) {
+  // 512-byte blocks: superblock, 16 inode-table blocks and one bitmap block
+  // come before the first data block, so 18 blocks hold no data at all.
+  for (const uint64_t capacity : {uint64_t{2}, uint64_t{18}}) {
+    GeometryDevice dev(512, capacity);
+    Vfs vfs(dev);
+    EXPECT_EQ(vfs.Format(), Err::kInvalidArgument) << capacity;
+    EXPECT_EQ(vfs.Mount(), Err::kInvalidArgument) << capacity;
+    EXPECT_EQ(dev.accesses, 0) << capacity;
+  }
+  // One data block more and the layout fits.
+  GeometryDevice dev(512, 19);
+  Vfs vfs(dev);
+  EXPECT_EQ(vfs.Format(), Err::kNone);
+}
+
 // --- Cooperative multi-process scheduling --------------------------------------
 
 TEST_F(OsTest, ProgramsInterleaveRoundRobin) {

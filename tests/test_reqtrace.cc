@@ -29,8 +29,9 @@ using ukvm::Err;
 // --- Unit-level: core tracer semantics ------------------------------------------
 
 TEST(ReqTrace, DisabledMintsNothing) {
-  ukvm::RequestTrace rt;
-  const uint32_t name = rt.InternName("x");
+  ukvm::NameTable names;
+  ukvm::RequestTrace rt(names);
+  const uint32_t name = names.Intern("x");
   const ukvm::ReqTraceRef ref = rt.BeginRequest(name, ukvm::DomainId{1});
   EXPECT_FALSE(ref.valid());
   rt.EndRequest(ref);  // no-op, must not crash
@@ -39,14 +40,15 @@ TEST(ReqTrace, DisabledMintsNothing) {
 }
 
 TEST(ReqTrace, CriticalPathPrefersDeepestNode) {
-  ukvm::RequestTrace rt;
+  ukvm::NameTable names;
+  ukvm::RequestTrace rt(names);
   uint64_t now = 0;
   rt.SetTimeSource([&now] { return now; });
   ukvm::ReqTraceConfig config;
   config.enabled = true;
   rt.Enable(config);
-  const uint32_t origin = rt.InternName("origin");
-  const uint32_t dev = rt.InternName("dev");
+  const uint32_t origin = names.Intern("origin");
+  const uint32_t dev = names.Intern("dev");
 
   const ukvm::ReqTraceRef ref = rt.BeginRequest(origin, ukvm::DomainId{1});
   ASSERT_TRUE(ref.valid());
@@ -66,13 +68,14 @@ TEST(ReqTrace, CriticalPathPrefersDeepestNode) {
 }
 
 TEST(ReqTrace, RingStashConsumePairsAppendQueueNode) {
-  ukvm::RequestTrace rt;
+  ukvm::NameTable names;
+  ukvm::RequestTrace rt(names);
   uint64_t now = 0;
   rt.SetTimeSource([&now] { return now; });
   ukvm::ReqTraceConfig config;
   config.enabled = true;
   rt.Enable(config);
-  const uint32_t origin = rt.InternName("origin");
+  const uint32_t origin = names.Intern("origin");
 
   const ukvm::ReqTraceRef ref = rt.BeginRequest(origin, ukvm::DomainId{1});
   {
@@ -95,13 +98,14 @@ TEST(ReqTrace, RingStashConsumePairsAppendQueueNode) {
 }
 
 TEST(ReqTrace, ConsumeInsideStashedWindowWithoutEntryIsOrphan) {
-  ukvm::RequestTrace rt;
+  ukvm::NameTable names;
+  ukvm::RequestTrace rt(names);
   uint64_t now = 0;
   rt.SetTimeSource([&now] { return now; });
   ukvm::ReqTraceConfig config;
   config.enabled = true;
   rt.Enable(config);
-  const uint32_t origin = rt.InternName("origin");
+  const uint32_t origin = names.Intern("origin");
 
   // First stash lands at slot 10: the stashed window is dense from there
   // on. Consuming slot 11 with no entry is an orphan (a propagation point

@@ -1,6 +1,7 @@
 // E17 observability tests: histogram bucket math, flight-recorder ring
 // semantics, span discipline, profiler attribution, multi-sink ledger
-// fan-out, and — end to end — deterministic byte-identical exports from
+// fan-out, the one name table shared by every instrument, the probe
+// scope, and — end to end — deterministic byte-identical exports from
 // all three stacks with the auditor running alongside the tracer.
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 
 #include "src/core/crossings.h"
 #include "src/core/histogram.h"
+#include "src/core/names.h"
+#include "src/core/reqtrace.h"
 #include "src/core/trace.h"
 #include "src/experiments/trace_export.h"
 #include "src/stacks/native_stack.h"
@@ -106,8 +109,8 @@ TEST(Histogram, EmptyHistogramSnapshotIsZero) {
 
 // --- Flight recorder -----------------------------------------------------------
 
-Tracer MakeEnabledTracer(size_t ring_capacity) {
-  Tracer t;
+Tracer MakeEnabledTracer(ukvm::NameTable& names, size_t ring_capacity) {
+  Tracer t(names);
   TraceConfig config;
   config.enabled = true;
   config.ring_capacity = ring_capacity;
@@ -116,8 +119,9 @@ Tracer MakeEnabledTracer(size_t ring_capacity) {
 }
 
 TEST(Tracer, DisabledRecordsNothing) {
-  Tracer t;
-  const uint32_t name = t.InternName("x");
+  ukvm::NameTable names;
+  Tracer t(names);
+  const uint32_t name = names.Intern("x");
   EXPECT_EQ(t.BeginSpan(name, DomainId{1}), 0u);
   t.Instant(name, DomainId{1});
   EXPECT_EQ(t.events_recorded(), 0u);
@@ -125,8 +129,9 @@ TEST(Tracer, DisabledRecordsNothing) {
 }
 
 TEST(Tracer, RingWrapKeepsNewestWindowOldestFirst) {
-  Tracer t = MakeEnabledTracer(8);
-  const uint32_t name = t.InternName("tick");
+  ukvm::NameTable names;
+  Tracer t = MakeEnabledTracer(names, 8);
+  const uint32_t name = names.Intern("tick");
   for (uint64_t i = 0; i < 20; ++i) {
     t.Instant(name, DomainId{1}, /*a=*/i);
   }
@@ -146,10 +151,11 @@ TEST(Tracer, RingWrapKeepsNewestWindowOldestFirst) {
 }
 
 TEST(Tracer, SpansRecordCompletedIntervals) {
-  Tracer t = MakeEnabledTracer(16);
+  ukvm::NameTable names;
+  Tracer t = MakeEnabledTracer(names, 16);
   uint64_t now = 100;
   t.SetTimeSource([&now] { return now; });
-  const uint32_t name = t.InternName("op");
+  const uint32_t name = names.Intern("op");
 
   const uint64_t token = t.BeginSpan(name, DomainId{3});
   EXPECT_NE(token, 0u);
@@ -170,8 +176,9 @@ TEST(Tracer, SpansRecordCompletedIntervals) {
 }
 
 TEST(Tracer, OutOfOrderSpanCloseCountsMismatch) {
-  Tracer t = MakeEnabledTracer(16);
-  const uint32_t name = t.InternName("op");
+  ukvm::NameTable names;
+  Tracer t = MakeEnabledTracer(names, 16);
+  const uint32_t name = names.Intern("op");
   const uint64_t outer = t.BeginSpan(name, DomainId{1});
   const uint64_t inner = t.BeginSpan(name, DomainId{1});
   (void)inner;
@@ -181,22 +188,24 @@ TEST(Tracer, OutOfOrderSpanCloseCountsMismatch) {
 }
 
 TEST(Tracer, InternedNamesSurviveReEnable) {
-  Tracer t = MakeEnabledTracer(8);
-  const uint32_t name = t.InternName("persistent");
+  ukvm::NameTable names;
+  Tracer t = MakeEnabledTracer(names, 8);
+  const uint32_t name = names.Intern("persistent");
   t.Instant(name, DomainId{1});
   t.Disable();
   t.Enable(TraceConfig{true, 8});
   EXPECT_EQ(t.events_recorded(), 0u);  // Enable clears recorded events...
   EXPECT_EQ(t.Name(name), "persistent");   // ...but interned names survive
-  EXPECT_EQ(t.InternName("persistent"), name);
+  EXPECT_EQ(names.Intern("persistent"), name);
 }
 
 // --- Profiler ------------------------------------------------------------------
 
 TEST(Profiler, AttributesChargesToActivePath) {
+  ukvm::NameTable names;
   ukvm::CycleProfiler prof;
-  const uint32_t outer = prof.InternFrame("outer");
-  const uint32_t inner = prof.InternFrame("inner");
+  const uint32_t outer = names.Intern("outer");
+  const uint32_t inner = names.Intern("inner");
 
   prof.OnCharge(DomainId{1}, 10);  // no frames: unattributed (empty path)
   prof.Push(outer);
@@ -236,7 +245,8 @@ TEST(Profiler, AttributesChargesToActivePath) {
 // --- Ledger fan-out ------------------------------------------------------------
 
 TEST(Ledger, MultipleTraceSinksAllObserveEvents) {
-  ukvm::CrossingLedger ledger;
+  ukvm::NameTable names;
+  ukvm::CrossingLedger ledger(names);
   const uint32_t mech = ledger.InternMechanism("test.xing", ukvm::CrossingKind::kSyncCall);
 
   int a_count = 0;
@@ -256,6 +266,150 @@ TEST(Ledger, MultipleTraceSinksAllObserveEvents) {
 
   ledger.RemoveTraceSink(b);
   EXPECT_FALSE(ledger.tracing());
+}
+
+// --- One name table ------------------------------------------------------------
+
+TEST(NameTable, EmptyNameIsIdZeroAndInternIsIdempotent) {
+  ukvm::NameTable names;
+  EXPECT_EQ(names.Intern(""), 0u);
+  const uint32_t a = names.Intern("a");
+  EXPECT_NE(a, 0u);
+  EXPECT_EQ(names.Intern("a"), a);
+  EXPECT_EQ(names.Find("a"), a);
+  EXPECT_EQ(names.Find("never"), 0u);
+  EXPECT_EQ(names.Name(a), "a");
+}
+
+TEST(NameTable, LedgerMechanismIdIsValidInEveryInstrument) {
+  ukvm::NameTable names;
+  ukvm::CrossingLedger ledger(names);
+  Tracer tracer(names);
+  ukvm::RequestTrace rt(names);
+  uint64_t now = 0;
+  ledger.SetTimeSource([&now] { return now; });
+  tracer.SetTimeSource([&now] { return now; });
+  rt.SetTimeSource([&now] { return now; });
+  tracer.Enable(TraceConfig{true, 64});
+  rt.Enable(ukvm::ReqTraceConfig{true});
+  ledger.AddTraceSink([&](const ukvm::CrossingEvent& e) { tracer.OnCrossing(e, ledger); });
+  ledger.AddTraceSink([&](const ukvm::CrossingEvent& e) { rt.OnCrossing(e, ledger); });
+
+  const uint32_t mech = ledger.InternMechanism("test.call", ukvm::CrossingKind::kSyncCall);
+  const uint32_t name = ledger.NameId(mech);
+  const uint32_t xing = ledger.XingNameId(mech);
+  EXPECT_EQ(names.Find("test.call"), name);
+  EXPECT_EQ(names.Find("xing.test.call"), xing);
+  EXPECT_EQ(ledger.MechanismName(mech), "test.call");
+
+  const ukvm::ReqTraceRef req = rt.BeginRequest(names.Intern("origin"), DomainId{1});
+  {
+    ukvm::ReqAdoptScope adopt(rt, req);
+    ukvm::ProbeScope probe(tracer, name, DomainId{1});
+    tracer.profiler().OnCharge(DomainId{1}, 40);
+    now = 40;
+    ledger.Record(mech, DomainId{1}, DomainId{2}, 40, 0);
+  }
+  now = 50;
+  rt.EndRequest(req);
+
+  // Flight recorder: the crossing and the probe's span carry the same id.
+  std::vector<TraceEventType> types;
+  tracer.ForEachEvent([&](const TraceEvent& e) {
+    types.push_back(e.type);
+    EXPECT_EQ(e.name, name);
+    EXPECT_EQ(tracer.Name(e.name), "test.call");
+  });
+  EXPECT_EQ(types, (std::vector<TraceEventType>{TraceEventType::kCrossing,
+                                                 TraceEventType::kSpan}));
+  // Profiler: the probe's frame is that id.
+  std::vector<std::vector<uint32_t>> paths;
+  tracer.profiler().ForEachAttribution(
+      [&](DomainId, const std::vector<uint32_t>& path, uint64_t) { paths.push_back(path); });
+  EXPECT_EQ(paths, (std::vector<std::vector<uint32_t>>{{name}}));
+  // Histogram walk: the crossing fed "xing.test.call".
+  std::vector<std::string> hists;
+  tracer.ForEachHistogram([&](const std::string& h, const LogHistogram& hist) {
+    hists.push_back(h);
+    EXPECT_EQ(hist.count(), 1u);
+  });
+  EXPECT_EQ(hists, (std::vector<std::string>{"xing.test.call"}));
+  // Request trace: the crossing leaf is named by the ledger's xing id.
+  ASSERT_EQ(rt.slowest().size(), 1u);
+  const std::vector<ukvm::ReqNode>& nodes = rt.slowest()[0].nodes;
+  ASSERT_EQ(nodes.size(), 2u);
+  EXPECT_EQ(nodes[1].name, xing);
+  EXPECT_EQ(rt.Name(nodes[1].name), "xing.test.call");
+}
+
+// --- Probe scope ---------------------------------------------------------------
+
+std::vector<std::vector<uint32_t>> AttributedPaths(const Tracer& t) {
+  std::vector<std::vector<uint32_t>> paths;
+  t.profiler().ForEachAttribution(
+      [&](DomainId, const std::vector<uint32_t>& path, uint64_t) { paths.push_back(path); });
+  return paths;
+}
+
+TEST(ProbeScope, SpanFormRecordsOneSpanAndOneFrame) {
+  ukvm::NameTable names;
+  Tracer t = MakeEnabledTracer(names, 16);
+  const uint32_t name = names.Intern("op");
+  {
+    ukvm::ProbeScope probe(t, name, DomainId{2});
+    EXPECT_EQ(t.profiler().depth(), 1u);
+    EXPECT_EQ(t.open_spans(), 1u);
+    t.profiler().OnCharge(DomainId{2}, 7);
+  }
+  EXPECT_EQ(t.profiler().depth(), 0u);
+  EXPECT_EQ(t.open_spans(), 0u);
+  ASSERT_EQ(t.events_recorded(), 1u);
+  t.ForEachEvent([&](const TraceEvent& e) {
+    EXPECT_EQ(e.type, TraceEventType::kSpan);
+    EXPECT_EQ(e.name, name);
+    EXPECT_EQ(e.domain, DomainId{2});
+  });
+  EXPECT_EQ(AttributedPaths(t), (std::vector<std::vector<uint32_t>>{{name}}));
+  EXPECT_EQ(t.span_mismatches(), 0u);
+}
+
+TEST(ProbeScope, FrameOnlyFormRecordsNoSpan) {
+  ukvm::NameTable names;
+  Tracer t = MakeEnabledTracer(names, 16);
+  const uint32_t name = names.Intern("idle");
+  {
+    ukvm::ProbeScope probe(t, name);
+    EXPECT_EQ(t.profiler().depth(), 1u);
+    EXPECT_EQ(t.open_spans(), 0u);
+    t.profiler().OnCharge(DomainId{2}, 7);
+  }
+  EXPECT_EQ(t.profiler().depth(), 0u);
+  EXPECT_EQ(t.events_recorded(), 0u);
+  EXPECT_EQ(AttributedPaths(t), (std::vector<std::vector<uint32_t>>{{name}}));
+}
+
+TEST(ProbeScope, BothFormsAreNoOpsWhileDisabled) {
+  ukvm::NameTable names;
+  Tracer t(names);
+  const uint32_t name = names.Intern("op");
+  {
+    ukvm::ProbeScope span_and_frame(t, name, DomainId{1});
+    ukvm::ProbeScope frame_only(t, name);
+    EXPECT_EQ(t.profiler().depth(), 0u);
+    EXPECT_EQ(t.open_spans(), 0u);
+  }
+  EXPECT_EQ(t.events_recorded(), 0u);
+  EXPECT_EQ(t.span_mismatches(), 0u);
+
+  // A probe opened while enabled still closes cleanly after Disable().
+  t.Enable(TraceConfig{true, 16});
+  {
+    ukvm::ProbeScope probe(t, name, DomainId{1});
+    t.Disable();
+  }
+  EXPECT_EQ(t.profiler().depth(), 0u);
+  EXPECT_EQ(t.open_spans(), 0u);
+  EXPECT_EQ(t.events_recorded(), 0u);  // the span closed while disabled
 }
 
 // --- End to end: the three stacks ----------------------------------------------
