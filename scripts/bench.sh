@@ -14,11 +14,16 @@
 # collapsed stacks, and E22 a request-flow view plus per-request table,
 # into $OUT via UKVM_TRACE_DIR.
 #
+# The trace exports (TRACE_*, STACKS_*, REQTRACE_*, REQTABLE_*) are
+# byte-identical run to run; their sha256 digests go into
+# $OUT/TRACE_EXPORTS.sha256, which is committed and which check.sh stage 13
+# verifies, so an instrumentation change that alters an export fails there.
+#
 # After the deterministic suite, bench_simspeed reports *wall-clock* harness
 # throughput (host ns per simulated hot op; BM_LifecycleSeed's
 # items_per_second is fuzz seeds/sec). Wall-clock numbers vary by host, so
-# they are printed for tracking but never written into the bit-exact
-# BENCH_*.json set.
+# they go into $OUT/BENCH_SIMSPEED_HOST.json, a tracked trajectory that is
+# never compared, and stay out of the bit-exact BENCH_*.json set.
 #
 #   OUT=results ./scripts/bench.sh      # default OUT is bench-results/
 set -euo pipefail
@@ -48,10 +53,15 @@ for bench in bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings \
   echo
 done
 
+(cd "${OUT}" && sha256sum TRACE_*.json STACKS_*.txt REQTRACE_*.json \
+   REQTABLE_*.json) > "${OUT}/TRACE_EXPORTS.sha256"
+
 echo "== bench_simspeed (wall-clock harness throughput; not in the bit-exact set) =="
 # Older google-benchmark releases reject the suffixed "0.05s" spelling; the
 # bare double works on both (newer ones print a deprecation notice).
-"${BUILD}/bench/bench_simspeed" --benchmark_min_time=0.05
+"${BUILD}/bench/bench_simspeed" --benchmark_min_time=0.05 \
+  --benchmark_out="${OUT}/BENCH_SIMSPEED_HOST.json" \
+  --benchmark_out_format=json
 echo
 
 echo "JSON results:"
