@@ -1,11 +1,12 @@
 // E20: what happens-before race detection costs.
 //
 // The detector's contract mirrors the tracer's (E17): it observes the
-// simulation without perturbing it. No RaceSink method charges simulated
-// cycles, so a run with race detection on is cycle-for-cycle identical to
-// the same run with it off — the first gate asserts sim delta == 0 on
-// every row (the process exits nonzero otherwise, and scripts/check.sh
-// gates on it). The real cost is host wall-clock, reported as a ratio.
+// simulation without perturbing it. No observer on the machine's bus
+// charges simulated cycles, so a run with race detection on is
+// cycle-for-cycle identical to the same run with it off — the first gate
+// asserts sim delta == 0 on every row (the process exits nonzero
+// otherwise, and scripts/check.sh gates on it). The real cost is host
+// wall-clock, reported as a ratio.
 //
 // The second gate is the detector's verdict itself: every stock split-driver
 // protocol here must run race-free (zero violations on every row). The
@@ -197,7 +198,7 @@ int main() {
 
   std::printf(
       "\nInvariant: detection must be invisible in simulated time (sim delta == 0 on\n"
-      "every row — no RaceSink method charges cycles) — %s. Stock protocols must be\n"
+      "every row — no bus observer charges cycles) — %s. Stock protocols must be\n"
       "race-free (violations == 0 on every row) — %s.\n",
       sim_clean ? "holds" : "VIOLATED", races_clean ? "holds" : "VIOLATED");
   uharness::WriteJsonIfRequested("E20");

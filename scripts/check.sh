@@ -46,7 +46,11 @@
 #      sim is deterministic, so any drift is a perf regression (or an
 #      uncommitted baseline). E17/E20 participate via their deterministic
 #      tables; their host wall-clock columns live in BENCH_*_HOST.json,
-#      which is never compared. Stages 11-13 reuse stage 1's strict tree:
+#      which is never compared. The same runs' trace exports (TRACE_*,
+#      STACKS_*, REQTRACE_*, REQTABLE_*) must match the sha256 digests in
+#      bench-results/TRACE_EXPORTS.sha256 (written by scripts/bench.sh), so
+#      an instrumentation change that alters an export fails here.
+#      Stages 11-13 reuse stage 1's strict tree:
 #      UKVM_CHECK=ON (the default) adds observers only, never charges, so
 #      that tree regenerates every baseline bit-exactly.
 #
@@ -149,5 +153,10 @@ for json in ${DET_JSONS}; do
   fi
 done
 echo "all deterministic bench JSONs regenerate bit-identically."
+if ! (cd build-check/bench-json && sha256sum --quiet -c ../../bench-results/TRACE_EXPORTS.sha256); then
+  echo "TRACE EXPORT DRIFT: an export no longer matches bench-results/TRACE_EXPORTS.sha256" >&2
+  exit 1
+fi
+echo "all trace exports match their committed digests."
 
 echo "check.sh: all stages passed."

@@ -18,9 +18,9 @@ Auditor::Auditor(hwsim::Machine& machine) : Auditor(machine, Options{}) {}
 
 Auditor::Auditor(hwsim::Machine& machine, Options options)
     : machine_(machine), options_(options), invariants_(machine), lint_(machine.ledger()) {
-  trace_sink_id_ = machine_.ledger().AddTraceSink(
-      [this](const ukvm::CrossingEvent& event) { OnCrossing(event); });
-  machine_.ledger().SetResetHook([this] { lint_.Reset(); });
+  machine_.bus().Attach(this, ukvm::ObsBit(ukvm::ObsKind::kCrossing) |
+                                  ukvm::ObsBit(ukvm::ObsKind::kLedgerReset) |
+                                  (options_.check_dma ? ukvm::ObsBit(ukvm::ObsKind::kDma) : 0));
   if (options_.check_tlb_inserts) {
     // Every vCPU's TLB, not just the boot CPU's: remote shootdown targets
     // refill their TLBs too.
@@ -29,22 +29,16 @@ Auditor::Auditor(hwsim::Machine& machine, Options options)
           [this](const hwsim::TlbEntry& entry) { invariants_.CheckTlbInsert(entry); });
     }
   }
-  if (options_.check_dma) {
-    machine_.SetDmaAuditHook(
-        [this](const hwsim::Machine::DmaAccess& access) { invariants_.CheckDmaTarget(access); });
-  }
   if (options_.race_detect) {
     race_ = std::make_unique<RaceDetector>(machine_);
   }
 }
 
 Auditor::~Auditor() {
-  machine_.ledger().RemoveTraceSink(trace_sink_id_);
-  machine_.ledger().SetResetHook(nullptr);
+  machine_.bus().Detach(this);
   for (uint32_t v = 0; v < machine_.num_vcpus(); ++v) {
     machine_.cpu(v).tlb().SetInsertHook(nullptr);
   }
-  machine_.SetDmaAuditHook(nullptr);
   if (kernel_ != nullptr) {
     kernel_->mapdb().SetAuditHook(nullptr);
     kernel_->ForEachTask([](ukern::Task& t) { t.space.SetAuditHook(nullptr); });
@@ -137,12 +131,24 @@ void Auditor::DrainPendingUnmaps() {
   pending_unmaps_.clear();
 }
 
-void Auditor::OnCrossing(const ukvm::CrossingEvent& event) {
-  if (options_.lint_crossings) {
-    lint_.Observe(event);
-  }
-  if (!pending_unmaps_.empty()) {
-    DrainPendingUnmaps();
+void Auditor::OnEvent(const ukvm::ObsEvent& event) {
+  switch (event.kind) {
+    case ukvm::ObsKind::kCrossing:
+      if (options_.lint_crossings) {
+        lint_.Observe(event);
+      }
+      if (!pending_unmaps_.empty()) {
+        DrainPendingUnmaps();
+      }
+      break;
+    case ukvm::ObsKind::kLedgerReset:
+      lint_.Reset();
+      break;
+    case ukvm::ObsKind::kDma:
+      invariants_.CheckDmaTarget(event.key, event.flag != 0, event.domain);
+      break;
+    default:
+      break;
   }
 }
 

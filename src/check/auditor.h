@@ -1,10 +1,11 @@
 // The auditor: wires the invariant checks and the crossing-discipline
 // linter into a live machine.
 //
-// One Auditor per simulated machine. It owns the ledger's trace stream and
-// fans events out to the linter; it installs the per-instance observer
-// hooks (page-table map/unmap, TLB insert, grant-table / mapdb / PT-virt
-// mutation, device DMA) and decides *when* each class of check runs:
+// One Auditor per simulated machine. It attaches to the machine's bus for
+// crossings (fanned out to the linter), ledger resets and device DMA; it
+// installs the per-instance observer hooks (page-table map/unmap, TLB
+// insert, grant-table / mapdb / PT-virt mutation) and decides *when* each
+// class of check runs:
 //
 //  - per crossing: linter observation, plus draining any unmap operations
 //    queued since the last event (a removed PTE must have left the TLB by
@@ -17,8 +18,9 @@
 //    also pick up address spaces created since the last one, so per-update
 //    hooks cover new tasks/domains from the next checkpoint on.
 //
-// Destruction detaches every hook, so the auditor may be torn down before
-// the kernels it watches; the stacks order members accordingly.
+// Destruction detaches from the bus and every hook, so the auditor may be
+// torn down before the kernels it watches; the stacks order members
+// accordingly.
 
 #ifndef UKVM_SRC_CHECK_AUDITOR_H_
 #define UKVM_SRC_CHECK_AUDITOR_H_
@@ -51,7 +53,7 @@ class Hypervisor;
 
 namespace ucheck {
 
-class Auditor {
+class Auditor : public ukvm::Observer {
  public:
   struct Options {
     bool lint_crossings = true;   // feed every ledger event to the linter
@@ -71,7 +73,7 @@ class Auditor {
 
   explicit Auditor(hwsim::Machine& machine);  // default options
   Auditor(hwsim::Machine& machine, Options options);
-  ~Auditor();
+  ~Auditor() override;
 
   Auditor(const Auditor&) = delete;
   Auditor& operator=(const Auditor&) = delete;
@@ -109,8 +111,11 @@ class Auditor {
   uint64_t checkpoints() const { return checkpoints_; }
   const Options& options() const { return options_; }
 
+  // Bus observer: crossings feed the linter and drain deferred unmap
+  // checks, a ledger reset resets the linter, DMA targets are checked.
+  void OnEvent(const ukvm::ObsEvent& event) override;
+
  private:
-  void OnCrossing(const ukvm::CrossingEvent& event);
   void OnPtOp(const hwsim::PageTable* space, ukvm::DomainId domain, SpaceKind kind,
               hwsim::PageTable::AuditOp op, hwsim::Vaddr vpn, const hwsim::Pte& pte);
   void DrainPendingUnmaps();
@@ -124,7 +129,6 @@ class Auditor {
   InvariantAuditor invariants_;
   LedgerLint lint_;
   std::unique_ptr<RaceDetector> race_;
-  uint32_t trace_sink_id_ = 0;
   ukern::Kernel* kernel_ = nullptr;
   uvmm::Hypervisor* hv_ = nullptr;
   std::vector<std::pair<ukvm::DomainId, hwsim::PageTable*>> raw_spaces_;

@@ -461,18 +461,19 @@ void InvariantAuditor::CheckTlbInsert(const hwsim::TlbEntry& entry) {
   }
 }
 
-void InvariantAuditor::CheckDmaTarget(const hwsim::Machine::DmaAccess& access) {
-  const ukvm::DomainId owner = machine_.memory().OwnerOf(access.frame);
+void InvariantAuditor::CheckDmaTarget(hwsim::Frame frame, bool to_memory,
+                                      ukvm::DomainId initiator) {
+  const ukvm::DomainId owner = machine_.memory().OwnerOf(frame);
   if (!owner.valid()) {
     Flag(Invariant::kDmaToFreeFrame,
          Fmt("device DMA %s free frame %" PRIu64 " (initiated under domain %u)",
-             access.to_memory ? "writes" : "reads", access.frame, access.initiator.value()));
+             to_memory ? "writes" : "reads", frame, initiator.value()));
     return;
   }
   if (owner == kPrivilegedDomain) {
     Flag(Invariant::kDmaToPrivilegedFrame,
          Fmt("device DMA %s kernel-owned frame %" PRIu64 " (initiated under domain %u)",
-             access.to_memory ? "writes" : "reads", access.frame, access.initiator.value()));
+             to_memory ? "writes" : "reads", frame, initiator.value()));
   }
 }
 

@@ -149,8 +149,8 @@ class InvariantAuditor {
   // loaded space's PTE.
   void CheckTlbInsert(const hwsim::TlbEntry& entry);
 
-  // A device DMA touches `access.frame`.
-  void CheckDmaTarget(const hwsim::Machine::DmaAccess& access);
+  // A device DMA, submitted under `initiator`, touches `frame`.
+  void CheckDmaTarget(hwsim::Frame frame, bool to_memory, ukvm::DomainId initiator);
 
   // --- Results ----------------------------------------------------------------
 

@@ -103,7 +103,7 @@ const LedgerLint::MechanismInfo& LedgerLint::InfoFor(uint32_t id) {
   return mechanisms_.emplace(id, Classify(id)).first->second;
 }
 
-void LedgerLint::CheckName(const MechanismInfo& info, const ukvm::CrossingEvent& event) {
+void LedgerLint::CheckName(const MechanismInfo& info, const ukvm::ObsEvent& event) {
   auto flag = [&](LintRule rule, std::string detail) {
     violations_.push_back(LintViolation{rule, info.name, event.time, event.seq,
                                         std::move(detail)});
@@ -148,7 +148,7 @@ void LedgerLint::CheckName(const MechanismInfo& info, const ukvm::CrossingEvent&
   }
 }
 
-void LedgerLint::Observe(const ukvm::CrossingEvent& event) {
+void LedgerLint::Observe(const ukvm::ObsEvent& event) {
   ++events_observed_;
 
   if (have_last_time_ && event.time < last_time_) {
@@ -169,8 +169,8 @@ void LedgerLint::Observe(const ukvm::CrossingEvent& event) {
     return;
   }
   PairGroup& group = groups_[static_cast<size_t>(info.group)];
-  const auto from = event.from.value();
-  const auto to = event.to.value();
+  const auto from = event.domain.value();
+  const auto to = event.peer.value();
   if (info.role == PairRole::kOpens) {
     ++group.outstanding[{from, to}];
     return;

@@ -54,8 +54,8 @@ class LedgerLint {
  public:
   explicit LedgerLint(const ukvm::CrossingLedger& ledger);
 
-  // Feeds one event from the ledger's trace stream.
-  void Observe(const ukvm::CrossingEvent& event);
+  // Feeds one kCrossing event from the machine's bus.
+  void Observe(const ukvm::ObsEvent& event);
 
   // Quiescent-point check: every call/trap group must have zero
   // outstanding entries. Appends violations for any imbalance found.
@@ -100,7 +100,7 @@ class LedgerLint {
 
   const MechanismInfo& InfoFor(uint32_t id);
   MechanismInfo Classify(uint32_t id) const;
-  void CheckName(const MechanismInfo& info, const ukvm::CrossingEvent& event);
+  void CheckName(const MechanismInfo& info, const ukvm::ObsEvent& event);
 
   const ukvm::CrossingLedger& ledger_;
   std::vector<std::string> stack_prefixes_;

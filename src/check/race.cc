@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "src/core/crossings.h"
-
 namespace ucheck {
 
 const char* RaceRuleName(RaceRule rule) {
@@ -20,16 +18,30 @@ const char* RaceRuleName(RaceRule rule) {
 }
 
 RaceDetector::RaceDetector(hwsim::Machine& machine) : machine_(machine) {
-  trace_sink_id_ = machine_.ledger().AddTraceSink(
-      [this](const ukvm::CrossingEvent& event) { OnCrossing(event); });
-  machine_.SetRaceSink(this);
+  using ukvm::ObsBit;
+  using ukvm::ObsKind;
+  machine_.bus().Attach(
+      this, ObsBit(ObsKind::kCrossing) | ObsBit(ObsKind::kRelease) | ObsBit(ObsKind::kAcquire) |
+                ObsBit(ObsKind::kSharedWrite) | ObsBit(ObsKind::kSharedRead) |
+                ObsBit(ObsKind::kRingPublish) | ObsBit(ObsKind::kRingRead) |
+                ObsBit(ObsKind::kContextDead));
 }
 
-RaceDetector::~RaceDetector() {
-  if (machine_.race_sink() == this) {
-    machine_.SetRaceSink(nullptr);
+RaceDetector::~RaceDetector() { machine_.bus().Detach(this); }
+
+void RaceDetector::OnEvent(const ukvm::ObsEvent& e) {
+  using ukvm::ObsKind;
+  switch (e.kind) {
+    case ObsKind::kCrossing: OnCrossing(e); break;
+    case ObsKind::kRelease: Release(e.domain, e.key); break;
+    case ObsKind::kAcquire: Acquire(e.domain, e.key); break;
+    case ObsKind::kSharedWrite: SharedWrite(e.domain, e.key, e.index, e.label); break;
+    case ObsKind::kSharedRead: SharedRead(e.domain, e.key, e.index, e.label); break;
+    case ObsKind::kRingPublish: RingPublish(e.domain, e.key, e.index); break;
+    case ObsKind::kRingRead: RingRead(e.domain, e.key, e.index, e.slot, e.label); break;
+    case ObsKind::kContextDead: ContextDead(e.domain); break;
+    default: break;
   }
-  machine_.ledger().RemoveTraceSink(trace_sink_id_);
 }
 
 size_t RaceDetector::CtxOf(ukvm::DomainId ctx) {
@@ -163,10 +175,11 @@ void RaceDetector::RingPublish(ukvm::DomainId ctx, uint64_t key, uint64_t count)
   ++stats_.releases;
 }
 
-bool RaceDetector::RingObserve(ukvm::DomainId ctx, uint64_t key, uint64_t index) {
+void RaceDetector::RingRead(ukvm::DomainId ctx, uint64_t key, uint64_t index, uint64_t slot,
+                            const char* what) {
   size_t c = CtxOf(ctx);
   if (c == kNoCtx) {
-    return true;  // untracked context: don't second-guess the caller
+    return;  // untracked context: nothing to check
   }
   ++stats_.ring_observes;
   auto it = published_.find(key);
@@ -176,14 +189,14 @@ bool RaceDetector::RingObserve(ukvm::DomainId ctx, uint64_t key, uint64_t index)
     os << CtxName(c) << " read " << DescribeObject(key, index) << " at index " << index
        << " but only " << published << " entries are published";
     RecordViolation(RaceRule::kRingReadBeforePublish, os.str());
-    return false;  // caller skips the slot read: one bug, one rule
+    return;  // the slot load is skipped: one bug, one rule
   }
   auto edge = edges_.find(key);
   if (edge != edges_.end()) {
     JoinInto(clocks_[c], edge->second);
   }
   ++stats_.acquires;
-  return true;
+  SharedRead(ctx, key, slot, what);
 }
 
 void RaceDetector::ContextDead(ukvm::DomainId ctx) {
@@ -193,18 +206,18 @@ void RaceDetector::ContextDead(ukvm::DomainId ctx) {
   }
 }
 
-void RaceDetector::OnCrossing(const ukvm::CrossingEvent& event) {
+void RaceDetector::OnCrossing(const ukvm::ObsEvent& event) {
   // Every hypercall/return crossing touches the VMM hub domain; treating
   // those as edges would totally order all guests through the hub and mask
   // real races, so hub-adjacent crossings are skipped (see SetHubDomain).
-  if (!event.from.valid() || !event.to.valid() || event.from == event.to ||
-      event.from == hub_ || event.to == hub_) {
+  const ukvm::DomainId from = event.domain;
+  const ukvm::DomainId to = event.peer;
+  if (!from.valid() || !to.valid() || from == to || from == hub_ || to == hub_) {
     return;
   }
-  uint64_t key =
-      hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kIpc, event.from.value(), event.to.value());
-  Release(event.from, key);
-  Acquire(event.to, key);
+  uint64_t key = ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kIpc, from.value(), to.value());
+  Release(from, key);
+  Acquire(to, key);
 }
 
 void RaceDetector::RecordViolation(RaceRule rule, std::string detail) {
@@ -215,18 +228,18 @@ void RaceDetector::RecordViolation(RaceRule rule, std::string detail) {
 }
 
 std::string RaceDetector::DescribeObject(uint64_t object, uint64_t offset) const {
-  auto kind = static_cast<hwsim::RaceEdgeKind>(object >> 56);
+  auto kind = static_cast<ukvm::RaceEdgeKind>(object >> 56);
   uint64_t a = (object >> 28) & 0xFFF'FFFFull;
   uint64_t b = object & 0xFFF'FFFFull;
   std::ostringstream os;
   switch (kind) {
-    case hwsim::RaceEdgeKind::kRingReq:
+    case ukvm::RaceEdgeKind::kRingReq:
       os << "ring#" << a << ".req[" << offset << "]";
       break;
-    case hwsim::RaceEdgeKind::kRingResp:
+    case ukvm::RaceEdgeKind::kRingResp:
       os << "ring#" << a << ".rsp[" << offset << "]";
       break;
-    case hwsim::RaceEdgeKind::kFrame:
+    case ukvm::RaceEdgeKind::kFrame:
       os << "frame 0x" << std::hex << a << std::dec << " (owner dom " << b << ")";
       break;
     default:

@@ -19,11 +19,10 @@
 //    ordering the protocol itself establishes, not the one the scheduler
 //    happened to produce);
 //  - synchronization edges come from the events the system already models,
-//    reported through hwsim::RaceSink: event-channel send -> upcall, IPI
-//    send -> shootdown handler -> ack wait, hypercall entry/exit, IPC
-//    call/reply crossings (observed via the CrossingLedger sink fan-out),
-//    and ring-index publish/observe in stacks/xenring.h. Each edge key maps
-//    to a slot clock; Release joins the releaser's clock into the slot and
+//    reported on the machine's observation bus (src/core/obs.h):
+//    event-channel send -> upcall, IPI send -> shootdown handler -> ack
+//    wait, hypercall entry/exit, IPC call/reply crossings, and ring-index
+//    publish/read in stacks/xenring.h. Each edge key maps to a slot clock; Release joins the releaser's clock into the slot and
 //    advances the releaser's epoch, Acquire joins the slot back (FastTrack
 //    discipline: epochs advance only at release points);
 //  - shared accesses (ring descriptor slots, grant-mapped payload frames)
@@ -45,8 +44,8 @@
 #include <vector>
 
 #include "src/core/ids.h"
+#include "src/core/obs.h"
 #include "src/hw/machine.h"
-#include "src/hw/race_sink.h"
 
 namespace ucheck {
 
@@ -66,7 +65,7 @@ struct RaceViolation {
   std::string detail;
 };
 
-class RaceDetector : public hwsim::RaceSink {
+class RaceDetector : public ukvm::Observer {
  public:
   struct Stats {
     uint64_t releases = 0;
@@ -79,8 +78,8 @@ class RaceDetector : public hwsim::RaceSink {
     size_t shadow_cells = 0;
   };
 
-  // Installs itself as the machine's race sink and as a ledger trace sink
-  // (for IPC call/reply edges). One detector per machine.
+  // Attaches to the machine's bus for crossings (IPC call/reply edges) and
+  // every race kind. One detector per machine.
   explicit RaceDetector(hwsim::Machine& machine);
   ~RaceDetector() override;
 
@@ -93,16 +92,7 @@ class RaceDetector : public hwsim::RaceSink {
   // upcall etc. — are reported at their mechanism sites instead).
   void SetHubDomain(ukvm::DomainId hub) { hub_ = hub; }
 
-  // hwsim::RaceSink interface.
-  void Release(ukvm::DomainId ctx, uint64_t key) override;
-  void Acquire(ukvm::DomainId ctx, uint64_t key) override;
-  void SharedWrite(ukvm::DomainId ctx, uint64_t object, uint64_t offset,
-                   const char* what) override;
-  void SharedRead(ukvm::DomainId ctx, uint64_t object, uint64_t offset,
-                  const char* what) override;
-  void RingPublish(ukvm::DomainId ctx, uint64_t key, uint64_t count) override;
-  bool RingObserve(ukvm::DomainId ctx, uint64_t key, uint64_t index) override;
-  void ContextDead(ukvm::DomainId ctx) override;
+  void OnEvent(const ukvm::ObsEvent& event) override;
 
   size_t violation_count() const;
   uint64_t RuleCount(RaceRule rule) const {
@@ -146,14 +136,26 @@ class RaceDetector : public hwsim::RaceSink {
   // point of context `c` (same context, dead context, or clock coverage).
   bool Ordered(size_t c, size_t prev, uint64_t epoch) const;
 
+  // One handler per bus kind (see ObsKind). An acquire of a never-released
+  // key orders nothing. A ring read of an index no publish covers fires
+  // kRingReadBeforePublish and skips the slot load, so one protocol bug
+  // fires exactly one rule. A dead context's accesses are ordered before
+  // everything later: its shared mappings were force-revoked.
+  void Release(ukvm::DomainId ctx, uint64_t key);
+  void Acquire(ukvm::DomainId ctx, uint64_t key);
+  void SharedWrite(ukvm::DomainId ctx, uint64_t object, uint64_t offset, const char* what);
+  void SharedRead(ukvm::DomainId ctx, uint64_t object, uint64_t offset, const char* what);
+  void RingPublish(ukvm::DomainId ctx, uint64_t key, uint64_t count);
+  void RingRead(ukvm::DomainId ctx, uint64_t key, uint64_t index, uint64_t slot,
+                const char* what);
+  void ContextDead(ukvm::DomainId ctx);
+  void OnCrossing(const ukvm::ObsEvent& event);
+
   void RecordViolation(RaceRule rule, std::string detail);
   std::string DescribeObject(uint64_t object, uint64_t offset) const;
   std::string CtxName(size_t c) const;
 
-  void OnCrossing(const ukvm::CrossingEvent& event);
-
   hwsim::Machine& machine_;
-  uint32_t trace_sink_id_ = 0;
   ukvm::DomainId hub_ = ukvm::DomainId::Invalid();
 
   std::unordered_map<uint32_t, size_t> ctx_index_;  // DomainId value -> dense

@@ -95,31 +95,11 @@ void CrossingLedger::Record(uint32_t mechanism, DomainId from, DomainId to, uint
   total_count_ += 1;
   total_cycles_ += cycles;
   const uint64_t seq = events_recorded_++;
-  if (!sinks_.empty()) {
-    CrossingEvent event;
-    event.mechanism = mechanism;
-    event.kind = slot.kind;
-    event.from = from;
-    event.to = to;
-    event.cycles = cycles;
-    event.bytes = bytes;
-    event.seq = seq;
-    event.time = now_ ? now_() : 0;
-    for (const auto& [id, sink] : sinks_) {
-      sink(event);
-    }
+  if (bus_.Wants(ObsKind::kCrossing)) {
+    bus_.Emit({.kind = ObsKind::kCrossing, .mechanism = mechanism, .name = slot.name,
+               .xing_name = slot.xing_name, .domain = from, .peer = to,
+               .time = now_ ? now_() : 0, .seq = seq, .cycles = cycles, .bytes = bytes});
   }
-}
-
-uint32_t CrossingLedger::AddTraceSink(std::function<void(const CrossingEvent&)> sink) {
-  assert(sink);
-  const uint32_t handle = next_sink_id_++;
-  sinks_.emplace_back(handle, std::move(sink));
-  return handle;
-}
-
-void CrossingLedger::RemoveTraceSink(uint32_t handle) {
-  std::erase_if(sinks_, [handle](const auto& entry) { return entry.first == handle; });
 }
 
 uint64_t CrossingLedger::CountByKind(CrossingKind kind) const {
@@ -156,8 +136,8 @@ void CrossingLedger::Reset() {
   kind_counts_.fill(0);
   total_count_ = 0;
   total_cycles_ = 0;
-  if (reset_hook_) {
-    reset_hook_();
+  if (bus_.Wants(ObsKind::kLedgerReset)) {
+    bus_.Emit({.kind = ObsKind::kLedgerReset});
   }
 }
 

@@ -20,6 +20,7 @@
 
 #include "src/core/ids.h"
 #include "src/core/names.h"
+#include "src/core/obs.h"
 
 namespace ukvm {
 
@@ -70,25 +71,13 @@ struct CrossingSnapshot {
 // Computes `after - before` field-wise (mechanisms matched by name).
 CrossingSnapshot DiffSnapshots(const CrossingSnapshot& before, const CrossingSnapshot& after);
 
-// One crossing as it happened, for stream consumers (the ledger linter in
-// src/check). Only produced while a trace sink is installed; the aggregate
-// counters above are always maintained.
-struct CrossingEvent {
-  uint32_t mechanism = 0;
-  CrossingKind kind = CrossingKind::kKindCount;
-  DomainId from;
-  DomainId to;
-  uint64_t cycles = 0;
-  uint64_t bytes = 0;
-  uint64_t seq = 0;   // ordinal of this event since the ledger was created
-  uint64_t time = 0;  // simulated time at the record call (0 without a clock)
-};
-
 // Records crossings. One ledger per simulated machine; not thread-safe (the
-// simulation is single-threaded and deterministic).
+// simulation is single-threaded and deterministic). Each Record is also
+// reported on `bus` as a kCrossing event and each Reset as kLedgerReset,
+// when someone subscribes; the aggregate counters are always maintained.
 class CrossingLedger {
  public:
-  explicit CrossingLedger(NameTable& names) : names_(names) {}
+  CrossingLedger(NameTable& names, ObsBus& bus) : names_(names), bus_(bus) {}
 
   // Interns a mechanism name, returning a dense id for cheap recording on
   // hot paths. Repeated calls with the same name return the same id. The
@@ -111,24 +100,9 @@ class CrossingLedger {
   CrossingSnapshot Snapshot() const;
   void Reset();
 
-  // --- Trace stream (feeds the crossing-discipline linter and the flight
-  // --- recorder) --------------------------------------------------------------
-
-  // Adds a per-event observer and returns a handle for RemoveTraceSink.
-  // Any number of sinks may be live at once (the ukvm-check linter and the
-  // E17 flight recorder both observe the same stream); events fan out to
-  // all of them in installation order.
-  uint32_t AddTraceSink(std::function<void(const CrossingEvent&)> sink);
-  void RemoveTraceSink(uint32_t handle);
-  bool tracing() const { return !sinks_.empty(); }
-
   // Clock for event timestamps; the owning Machine installs its simulated
   // clock here. Without one, event times are 0.
   void SetTimeSource(std::function<uint64_t()> now) { now_ = std::move(now); }
-
-  // Observer for Reset(), so stream consumers can drop their running state
-  // in step with the aggregates.
-  void SetResetHook(std::function<void()> hook) { reset_hook_ = std::move(hook); }
 
   // Mechanism table introspection (ids are dense, [0, mechanism_count)).
   size_t mechanism_count() const { return slots_.size(); }
@@ -155,15 +129,13 @@ class CrossingLedger {
   MechanismStats Stats(const MechanismSlot& slot) const;
 
   NameTable& names_;
+  ObsBus& bus_;
   std::vector<MechanismSlot> slots_;
   std::array<uint64_t, kCrossingKindCount> kind_counts_{};
   uint64_t total_count_ = 0;
   uint64_t total_cycles_ = 0;
   uint64_t events_recorded_ = 0;
-  std::vector<std::pair<uint32_t, std::function<void(const CrossingEvent&)>>> sinks_;
-  uint32_t next_sink_id_ = 1;
   std::function<uint64_t()> now_;
-  std::function<void()> reset_hook_;
 };
 
 }  // namespace ukvm

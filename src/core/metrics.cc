@@ -8,8 +8,14 @@ namespace ukvm {
 void CpuAccounting::Charge(DomainId domain, uint64_t cycles) {
   cycles_[domain] += cycles;
   total_ += cycles;
+}
+
+void CpuAccounting::SetObserver(ChargeObserver* observer) {
+  assert(bus_ != nullptr);
+  bus_->Detach(observer_);  // a no-op for nullptr
+  observer_ = observer;
   if (observer_ != nullptr) {
-    observer_->OnCharge(domain, cycles);
+    bus_->Attach(observer_, ObsBit(ObsKind::kCharge));
   }
 }
 

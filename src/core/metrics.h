@@ -19,27 +19,31 @@
 
 #include "src/core/ids.h"
 #include "src/core/names.h"
+#include "src/core/obs.h"
 
 namespace ukvm {
 
-// Observes every CpuAccounting::Charge. The cycle-attribution profiler
-// (src/core/trace.h) implements this to tag charges with the active
-// attribution path; the accounting itself never depends on the observer.
-class ChargeObserver {
+// A charge-only observer, for probes that just count charges (perfbench's
+// charge counter). CpuAccounting::SetObserver subscribes it to the
+// machine bus's kCharge events.
+class ChargeObserver : public Observer {
  public:
-  virtual ~ChargeObserver() = default;
   virtual void OnCharge(DomainId domain, uint64_t cycles) = 0;
+  void OnEvent(const ObsEvent& event) final { OnCharge(event.domain, event.cycles); }
 };
 
 // Attributes simulated cycles to protection domains.
 class CpuAccounting {
  public:
+  // `bus` is where SetObserver subscribes; the machine passes its own to
+  // the global table.
+  explicit CpuAccounting(ObsBus* bus = nullptr) : bus_(bus) {}
+
   void Charge(DomainId domain, uint64_t cycles);
 
-  // Installs (or, with nullptr, removes) a per-charge observer. Observation
-  // is side-effect-free for the accounting: totals are identical with or
-  // without one installed.
-  void SetObserver(ChargeObserver* observer) { observer_ = observer; }
+  // Subscribes `observer` to the bus's kCharge events in place of the one
+  // set before (nullptr just detaches that one).
+  void SetObserver(ChargeObserver* observer);
 
   uint64_t CyclesOf(DomainId domain) const;
   uint64_t total_cycles() const { return total_; }
@@ -55,6 +59,7 @@ class CpuAccounting {
  private:
   std::unordered_map<DomainId, uint64_t> cycles_;
   uint64_t total_ = 0;
+  ObsBus* bus_ = nullptr;
   ChargeObserver* observer_ = nullptr;
 };
 

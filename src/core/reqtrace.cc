@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/core/crossings.h"
-
 namespace ukvm {
 
 namespace {
@@ -329,13 +327,13 @@ void RequestTrace::ForgiveHandoffs(ReqTraceRef ref) {
   }
 }
 
-void RequestTrace::OnCrossing(const CrossingEvent& event, const CrossingLedger& ledger) {
-  if (!enabled_ || !current_.valid()) {
+void RequestTrace::OnEvent(const ObsEvent& event) {
+  if (event.kind != ObsKind::kCrossing || !enabled_ || !current_.valid()) {
     return;
   }
   const uint64_t t1 = event.time;
   const uint64_t t0 = t1 - std::min(event.cycles, t1);
-  (void)AddLeaf(ledger.XingNameId(event.mechanism), ReqNodeKind::kCrossing, event.from, t0, t1);
+  (void)AddLeaf(event.xing_name, ReqNodeKind::kCrossing, event.domain, t0, t1);
 }
 
 void RequestTrace::EndRequest(ReqTraceRef ref) {

@@ -43,11 +43,9 @@
 #include "src/core/histogram.h"
 #include "src/core/ids.h"
 #include "src/core/names.h"
+#include "src/core/obs.h"
 
 namespace ukvm {
-
-struct CrossingEvent;
-class CrossingLedger;
 
 // Per-stack request-tracing knobs. Default-off: stacks built with an
 // all-default Config run with zero instrumentation active.
@@ -145,8 +143,11 @@ struct ReqTraceLint {
 // Which side of a ring a stashed slot id belongs to.
 enum class RingSide : uint8_t { kRequest = 0, kResponse = 1 };
 
-class RequestTrace {
+class RequestTrace : public Observer {
  public:
+  // The bus kinds the request tracer consumes.
+  static constexpr ObsMask kObsKinds = ObsBit(ObsKind::kCrossing);
+
   // Node names are ids in `names`, the machine's one name table.
   explicit RequestTrace(NameTable& names);
 
@@ -176,7 +177,7 @@ class RequestTrace {
   // --- Ambient request context ------------------------------------------------
   //
   // The currently-executing request, used by instrumentation that has no
-  // explicit ref in hand (the ledger sink, ChargeCopy). The machine's event
+  // explicit ref in hand (bus crossings, ChargeCopy). The machine's event
   // loop clears it around every event callback so causality never leaks
   // across scheduling boundaries; ReqOriginScope / ReqAdoptScope set it.
 
@@ -243,12 +244,11 @@ class RequestTrace {
   // still lints as fully parented.
   void ForgiveHandoffs(ReqTraceRef ref);
 
-  // --- Ledger sink ------------------------------------------------------------
+  // --- Bus observer -----------------------------------------------------------
 
-  // CrossingLedger trace-sink: attaches every crossing charged while a
-  // request is ambient as a kCrossing leaf [time - cycles, time], named
-  // "xing.<mechanism>".
-  void OnCrossing(const CrossingEvent& event, const CrossingLedger& ledger);
+  // Attaches every crossing recorded while a request is ambient as a
+  // kCrossing leaf [time - cycles, time], named "xing.<mechanism>".
+  void OnEvent(const ObsEvent& event) override;
 
   // --- Results ----------------------------------------------------------------
 

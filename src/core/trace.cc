@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/core/crossings.h"
-
 namespace ukvm {
 
 // --- CycleProfiler ---------------------------------------------------------------
@@ -62,6 +60,11 @@ void CycleProfiler::Reset() {
 }
 
 // --- Tracer ----------------------------------------------------------------------
+
+Tracer::Tracer(NameTable& names)
+    : names_(names),
+      irq_assert_(names.Intern("irq.assert")),
+      irq_deliver_(names.Intern("irq.deliver")) {}
 
 void Tracer::Enable(const TraceConfig& config) {
   ring_.assign(config.ring_capacity > 0 ? config.ring_capacity : 1, TraceEvent{});
@@ -150,20 +153,25 @@ void Tracer::Instant(uint32_t name, DomainId domain, uint64_t a, uint64_t b) {
   Emit(event);
 }
 
-void Tracer::OnCrossing(const CrossingEvent& crossing, const CrossingLedger& ledger) {
-  if (!enabled_) {
-    return;
+void Tracer::OnEvent(const ObsEvent& event) {
+  switch (event.kind) {
+    case ObsKind::kCharge:
+      profiler_.OnCharge(event.domain, event.cycles);
+      break;
+    case ObsKind::kCrossing:
+      if (enabled_) {
+        Emit({.type = TraceEventType::kCrossing, .name = event.name, .domain = event.peer,
+              .time = event.time, .dur = event.cycles, .a = event.domain.value(),
+              .b = event.bytes});
+        histograms_[event.xing_name].Record(event.cycles);
+      }
+      break;
+    case ObsKind::kIrq:
+      Instant(event.flag != 0 ? irq_deliver_ : irq_assert_, kHardwareDomain, event.key);
+      break;
+    default:
+      break;
   }
-  TraceEvent event;
-  event.type = TraceEventType::kCrossing;
-  event.name = ledger.NameId(crossing.mechanism);
-  event.domain = crossing.to;
-  event.time = crossing.time;
-  event.dur = crossing.cycles;
-  event.a = crossing.from.value();
-  event.b = crossing.bytes;
-  Emit(event);
-  histograms_[ledger.XingNameId(crossing.mechanism)].Record(crossing.cycles);
 }
 
 void Tracer::ForEachEvent(const std::function<void(const TraceEvent&)>& fn) const {

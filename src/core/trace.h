@@ -11,12 +11,11 @@
 //     are recorded as *completed* intervals (begin time + duration) when
 //     they close, so a wrapped ring never holds a begin without its end.
 //   - Latency histograms: named LogHistograms fed per-mechanism crossing
-//     latency (automatically, from the ledger's trace stream) and
+//     latency (automatically, from the bus's crossing events) and
 //     end-to-end request latency (from the split drivers).
-//   - Cycle profiler: a ChargeObserver that tags every CpuAccounting
-//     charge with the interned attribution path pushed by the code that
-//     is running (hypercall nr, IPC op, softirq, ...), and dumps
-//     collapsed stacks for flamegraph.pl.
+//   - Cycle profiler: tags every charge event with the interned
+//     attribution path pushed by the code that is running (hypercall nr,
+//     IPC op, softirq, ...), and dumps collapsed stacks for flamegraph.pl.
 //
 // All three name things by ids from the machine's NameTable, and one
 // ProbeScope opens a span and pushes a frame under the same id.
@@ -38,13 +37,10 @@
 
 #include "src/core/histogram.h"
 #include "src/core/ids.h"
-#include "src/core/metrics.h"
 #include "src/core/names.h"
+#include "src/core/obs.h"
 
 namespace ukvm {
-
-struct CrossingEvent;
-class CrossingLedger;
 
 // Per-stack tracing knobs. Default-off: stacks built with an all-default
 // Config run with zero instrumentation active.
@@ -72,11 +68,10 @@ struct TraceEvent {
 };
 
 // Cycle-attribution profiler. Instrumented code pushes frames (name-table
-// ids, via ProbeScope) around the work it charges; every
-// CpuAccounting::Charge is then attributed to (domain, active path). Paths
-// are interned in a trie so the hot path is one map lookup + one counter
-// bump.
-class CycleProfiler : public ChargeObserver {
+// ids, via ProbeScope) around the work it charges; every charge is then
+// attributed to (domain, active path). Paths are interned in a trie so the
+// hot path is one map lookup + one counter bump.
+class CycleProfiler {
  public:
   CycleProfiler();
 
@@ -84,7 +79,7 @@ class CycleProfiler : public ChargeObserver {
   void Pop();
   size_t depth() const { return stack_.size(); }
 
-  void OnCharge(DomainId domain, uint64_t cycles) override;
+  void OnCharge(DomainId domain, uint64_t cycles);
 
   uint64_t total_cycles() const { return total_cycles_; }
 
@@ -110,11 +105,15 @@ class CycleProfiler : public ChargeObserver {
   uint64_t total_cycles_ = 0;
 };
 
-class Tracer {
+class Tracer : public Observer {
  public:
+  // The bus kinds (src/core/obs.h) the tracer consumes while enabled.
+  static constexpr ObsMask kObsKinds =
+      ObsBit(ObsKind::kCharge) | ObsBit(ObsKind::kCrossing) | ObsBit(ObsKind::kIrq);
+
   // Span, instant, frame and histogram names are ids in `names`, the
   // machine's one name table.
-  explicit Tracer(NameTable& names) : names_(names) {}
+  explicit Tracer(NameTable& names);
 
   // Arms the instruments. Clears any previously recorded events/attributions
   // and sizes the ring per `config`. (Interned names survive: instrumented
@@ -147,9 +146,11 @@ class Tracer {
 
   void Instant(uint32_t name, DomainId domain, uint64_t a = 0, uint64_t b = 0);
 
-  // Ledger sink: records a kCrossing event and feeds the per-mechanism
-  // latency histogram "xing.<mechanism>".
-  void OnCrossing(const CrossingEvent& event, const CrossingLedger& ledger);
+  // Bus observer: a charge goes to the profiler; a crossing records a
+  // kCrossing event and feeds the per-mechanism latency histogram
+  // "xing.<mechanism>"; an IRQ records an "irq.assert"/"irq.deliver"
+  // instant.
+  void OnEvent(const ObsEvent& event) override;
 
   // Oldest-first walk of the retained window.
   void ForEachEvent(const std::function<void(const TraceEvent&)>& fn) const;
@@ -198,6 +199,8 @@ class Tracer {
   };
 
   NameTable& names_;
+  uint32_t irq_assert_ = 0;
+  uint32_t irq_deliver_ = 0;
   bool enabled_ = false;
   std::function<uint64_t()> now_;
 

@@ -4,9 +4,15 @@
 
 namespace hwsim {
 
-InterruptController::InterruptController(uint32_t lines)
-    : pending_(lines, false), masked_(lines, false) {
+InterruptController::InterruptController(uint32_t lines, ukvm::ObsBus& bus)
+    : bus_(bus), pending_(lines, false), masked_(lines, false) {
   assert(lines > 0);
+}
+
+void InterruptController::Report(ukvm::IrqLine line, bool delivered) const {
+  if (bus_.Wants(ukvm::ObsKind::kIrq)) {
+    bus_.Emit({.kind = ukvm::ObsKind::kIrq, .flag = delivered, .key = line.value()});
+  }
 }
 
 void InterruptController::Assert(ukvm::IrqLine line) {
@@ -14,9 +20,7 @@ void InterruptController::Assert(ukvm::IrqLine line) {
   if (!pending_[line.value()]) {
     pending_[line.value()] = true;
     ++asserts_;
-    if (trace_hook_) {
-      trace_hook_(line, /*delivered=*/false);
-    }
+    Report(line, /*delivered=*/false);
   }
 }
 
@@ -35,9 +39,7 @@ std::optional<ukvm::IrqLine> InterruptController::TakePending() {
     if (pending_[i] && !masked_[i]) {
       pending_[i] = false;
       ++deliveries_;
-      if (trace_hook_) {
-        trace_hook_(ukvm::IrqLine(i), /*delivered=*/true);
-      }
+      Report(ukvm::IrqLine(i), /*delivered=*/true);
       return ukvm::IrqLine(i);
     }
   }

@@ -13,7 +13,7 @@ namespace hwsim {
 Machine::Machine(Platform platform, uint64_t memory_bytes, uint32_t num_vcpus)
     : platform_(std::move(platform)),
       memory_(memory_bytes, platform_.page_shift),
-      irq_controller_(platform_.irq_lines),
+      irq_controller_(platform_.irq_lines, bus_),
       ipis_(num_vcpus == 0 ? 1 : num_vcpus),
       vcpu_accounting_(num_vcpus == 0 ? 1 : num_vcpus) {
   if (num_vcpus == 0) {
@@ -27,12 +27,6 @@ Machine::Machine(Platform platform, uint64_t memory_bytes, uint32_t num_vcpus)
   tracer_.SetTimeSource([this] { return now_; });
   reqtrace_.SetTimeSource([this] { return now_; });
   trace_idle_ = names_.Intern("idle");
-  trace_irq_assert_ = names_.Intern("irq.assert");
-  trace_irq_deliver_ = names_.Intern("irq.deliver");
-  irq_controller_.SetTraceHook([this](ukvm::IrqLine line, bool delivered) {
-    tracer_.Instant(delivered ? trace_irq_deliver_ : trace_irq_assert_,
-                    ukvm::kHardwareDomain, line.value());
-  });
 }
 
 void Machine::EnableTracing(const ukvm::TraceConfig& config) {
@@ -40,61 +34,33 @@ void Machine::EnableTracing(const ukvm::TraceConfig& config) {
   // The tracer lives in core and cannot see this layer's idle constant.
   tracer_.RegisterDomain(kIdleDomain, "idle");
   tracer_.RegisterDomain(ukvm::kHardwareDomain, "hardware");
-  if (trace_sink_id_ == 0) {
-    trace_sink_id_ = ledger_.AddTraceSink(
-        [this](const ukvm::CrossingEvent& event) { tracer_.OnCrossing(event, ledger_); });
-  }
-  accounting_.SetObserver(&tracer_.profiler());
+  bus_.Attach(&tracer_, ukvm::Tracer::kObsKinds);
 }
 
 void Machine::DisableTracing() {
-  accounting_.SetObserver(nullptr);
-  if (trace_sink_id_ != 0) {
-    ledger_.RemoveTraceSink(trace_sink_id_);
-    trace_sink_id_ = 0;
-  }
+  bus_.Detach(&tracer_);
   tracer_.Disable();
 }
 
 void Machine::EnableRequestTracing(const ukvm::ReqTraceConfig& config) {
   reqtrace_.Enable(config);
-  if (reqtrace_sink_id_ == 0) {
-    reqtrace_sink_id_ = ledger_.AddTraceSink(
-        [this](const ukvm::CrossingEvent& event) { reqtrace_.OnCrossing(event, ledger_); });
-  }
+  bus_.Attach(&reqtrace_, ukvm::RequestTrace::kObsKinds);
 }
 
 void Machine::DisableRequestTracing() {
-  if (reqtrace_sink_id_ != 0) {
-    ledger_.RemoveTraceSink(reqtrace_sink_id_);
-    reqtrace_sink_id_ = 0;
-  }
+  bus_.Detach(&reqtrace_);
   reqtrace_.Disable();
 }
 
 void Machine::Charge(uint64_t cycles) { ChargeTo(cpu().current_domain(), cycles); }
 
 void Machine::ChargeTo(ukvm::DomainId domain, uint64_t cycles) {
-  if (cycles == 0) {
-    return;
-  }
-  const ukvm::DomainId billed = domain.valid() ? domain : ukvm::kHardwareDomain;
-  accounting_.Charge(billed, cycles);
-  vcpu_accounting_[current_vcpu_].Charge(billed, cycles);
+  AccountToVcpu(current_vcpu_, domain, cycles);
   now_ += cycles;
 }
 
 void Machine::AccountOnly(ukvm::DomainId domain, uint64_t cycles) {
   AccountToVcpu(current_vcpu_, domain, cycles);
-}
-
-void Machine::AccountToVcpu(uint32_t vcpu, ukvm::DomainId domain, uint64_t cycles) {
-  if (cycles == 0) {
-    return;
-  }
-  const ukvm::DomainId billed = domain.valid() ? domain : ukvm::kHardwareDomain;
-  accounting_.Charge(billed, cycles);
-  vcpu_accounting_[vcpu].Charge(billed, cycles);
 }
 
 void Machine::ChargeCopy(uint64_t bytes) {
@@ -120,8 +86,7 @@ bool Machine::HasPendingEvents() const { return events_.size() > cancelled_.size
 void Machine::AdvanceClockTo(uint64_t time) {
   if (time > now_) {
     ukvm::ProbeScope idle(tracer_, trace_idle_);
-    accounting_.Charge(kIdleDomain, time - now_);
-    vcpu_accounting_[current_vcpu_].Charge(kIdleDomain, time - now_);
+    AccountToVcpu(current_vcpu_, kIdleDomain, time - now_);
     now_ = time;
   }
 }
@@ -242,10 +207,9 @@ uint64_t Machine::BeginTlbShootdown(const PageTable* space, std::span<const Vadd
     ++shootdown_stats_.ipis_sent;
     Charge(costs().ipi_send);
   }
-  if (race_sink_ != nullptr) {
-    // The IPI posts publish the request's flush list to every target.
-    race_sink_->Release(cpu().current_domain(), RaceEdgeKey(RaceEdgeKind::kIpi, id));
-  }
+  // The IPI posts publish the request's flush list to every target.
+  EmitEdge(ukvm::ObsKind::kRelease, cpu().current_domain(),
+           ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kIpi, id));
   shootdowns_.emplace(id, std::move(req));
   return id;
 }
@@ -277,12 +241,12 @@ void Machine::DeliverShootdownIpis(uint32_t vcpu) {
       req.max_target_cost = cost;
     }
     ++shootdown_stats_.remote_acks;
-    if (race_sink_ != nullptr) {
-      // The handler sees the initiator's history (IPI receipt) and its ack
-      // publishes its own back to the initiator's spin-wait.
-      race_sink_->Acquire(target.current_domain(), RaceEdgeKey(RaceEdgeKind::kIpi, id));
-      race_sink_->Release(target.current_domain(), RaceEdgeKey(RaceEdgeKind::kIpiAck, id));
-    }
+    // The handler sees the initiator's history (IPI receipt) and its ack
+    // publishes its own back to the initiator's spin-wait.
+    EmitEdge(ukvm::ObsKind::kAcquire, target.current_domain(),
+             ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kIpi, id));
+    EmitEdge(ukvm::ObsKind::kRelease, target.current_domain(),
+             ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kIpiAck, id));
   }
 }
 
@@ -300,9 +264,8 @@ void Machine::WaitTlbShootdown(uint64_t id) {
   const uint64_t spin_t0 = now_;
   Charge(it->second.max_target_cost);
   reqtrace_.ShootdownLeaf(cpu().current_domain(), spin_t0, now_);
-  if (race_sink_ != nullptr) {
-    race_sink_->Acquire(cpu().current_domain(), RaceEdgeKey(RaceEdgeKind::kIpiAck, id));
-  }
+  EmitEdge(ukvm::ObsKind::kAcquire, cpu().current_domain(),
+           ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kIpiAck, id));
   shootdowns_.erase(it);
 }
 
@@ -395,10 +358,10 @@ void Machine::RaiseTrap(TrapFrame& frame) {
 }
 
 void Machine::NotifyDmaTarget(Paddr target, bool to_memory) {
-  if (!dma_audit_hook_) {
-    return;
+  if (bus_.Wants(ukvm::ObsKind::kDma)) {
+    bus_.Emit({.kind = ukvm::ObsKind::kDma, .flag = to_memory, .domain = cpu().current_domain(),
+               .key = memory_.FrameOf(target)});
   }
-  dma_audit_hook_(DmaAccess{memory_.FrameOf(target), to_memory, cpu().current_domain()});
 }
 
 void Machine::DeliverPendingInterrupts() {

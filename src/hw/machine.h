@@ -24,13 +24,13 @@
 #include "src/core/error.h"
 #include "src/core/ids.h"
 #include "src/core/metrics.h"
+#include "src/core/obs.h"
 #include "src/core/reqtrace.h"
 #include "src/core/trace.h"
 #include "src/hw/cpu.h"
 #include "src/hw/interrupts.h"
 #include "src/hw/memory.h"
 #include "src/hw/platform.h"
-#include "src/hw/race_sink.h"
 #include "src/hw/trap.h"
 
 namespace hwsim {
@@ -65,6 +65,9 @@ class Machine {
   // The one name table behind the ledger, counters, tracer and request
   // tracer: a name interned here is the same id in all of them.
   ukvm::NameTable& names() { return names_; }
+  // The one observation bus: every tracer and checker watches the machine
+  // by attaching here (src/core/obs.h).
+  ukvm::ObsBus& bus() { return bus_; }
   ukvm::CrossingLedger& ledger() { return ledger_; }
   ukvm::CpuAccounting& accounting() { return accounting_; }
   // Per-vCPU attribution (charges land on both this and the global table).
@@ -88,8 +91,8 @@ class Machine {
 
   // --- Tracing (E17) --------------------------------------------------------
 
-  // Arms the flight recorder, latency histograms, and cycle profiler: hooks
-  // the ledger's trace stream, the IRQ controller, and CPU accounting.
+  // Arms the flight recorder, latency histograms, and cycle profiler and
+  // attaches the tracer to the bus (charges, crossings, IRQs).
   // Observation never charges simulated cycles, so enabling this leaves
   // every sim-cycle number byte-identical (bench_e17_trace_overhead).
   void EnableTracing(const ukvm::TraceConfig& config);
@@ -97,7 +100,7 @@ class Machine {
 
   // --- Request tracing (E22) ------------------------------------------------
 
-  // Arms the causal request tracer: hooks the ledger's trace stream and
+  // Arms the causal request tracer: attaches it to the bus's crossings and
   // makes ChargeCopy / shootdown waits / the event loop feed per-request
   // DAGs. Same contract as EnableTracing: observation only, zero charges,
   // sim results byte-identical on or off (bench_e22_reqtrace).
@@ -231,33 +234,19 @@ class Machine {
   // the CPU has interrupts enabled. Kernels call this at safe points.
   void DeliverPendingInterrupts();
 
-  // --- DMA auditing ---------------------------------------------------------
+  // --- Observation -----------------------------------------------------------
 
-  // One device DMA touching physical memory: the frame under `target`,
-  // whether the device writes memory (rx/read) or reads it (tx/write), and
-  // the domain that was running when the transfer was submitted.
-  struct DmaAccess {
-    Frame frame = 0;
-    bool to_memory = false;
-    ukvm::DomainId initiator;
-  };
-
-  // Observer for device DMA; installed by the invariant auditor, nullptr to
-  // detach. Devices report targets via NotifyDmaTarget at submit time.
-  void SetDmaAuditHook(std::function<void(const DmaAccess&)> hook) {
-    dma_audit_hook_ = std::move(hook);
-  }
-
-  // Called by device models for each page a DMA transfer touches.
+  // Called by device models for each page a DMA transfer touches; reported
+  // on the bus as kDma, attributed to the domain running at submit time.
   void NotifyDmaTarget(Paddr target, bool to_memory);
 
-  // --- Race detection (E20) --------------------------------------------------
-
-  // Observer for synchronization edges and shared-memory accesses; installed
-  // by the happens-before detector (src/check/race), nullptr to detach.
-  // Observation only — with or without a sink, charges are identical.
-  void SetRaceSink(RaceSink* sink) { race_sink_ = sink; }
-  RaceSink* race_sink() const { return race_sink_; }
+  // Reports a sync-edge half (kRelease/kAcquire of `key`) or a death
+  // (kContextDead) by `ctx` on the bus, if anyone subscribes to `kind`.
+  void EmitEdge(ukvm::ObsKind kind, ukvm::DomainId ctx, uint64_t key = 0) {
+    if (bus_.Wants(kind)) {
+      bus_.Emit({.kind = kind, .domain = ctx, .key = key});
+    }
+  }
 
   // Deterministic per-machine identity for shared objects (descriptor
   // rings) named in race-detector keys.
@@ -287,18 +276,31 @@ class Machine {
   };
 
   void AdvanceClockTo(uint64_t time);
-  // Attributes concurrent work done at `vcpu` (no clock advance).
-  void AccountToVcpu(uint32_t vcpu, ukvm::DomainId domain, uint64_t cycles);
+  // Attributes work done at `vcpu` (no clock advance) to the global and
+  // the vCPU's table and reports it on the bus. Every charge lands here, so
+  // it is inline.
+  void AccountToVcpu(uint32_t vcpu, ukvm::DomainId domain, uint64_t cycles) {
+    if (cycles == 0) {
+      return;
+    }
+    const ukvm::DomainId billed = domain.valid() ? domain : ukvm::kHardwareDomain;
+    accounting_.Charge(billed, cycles);
+    vcpu_accounting_[vcpu].Charge(billed, cycles);
+    if (bus_.Wants(ukvm::ObsKind::kCharge)) {
+      bus_.Emit({.kind = ukvm::ObsKind::kCharge, .domain = billed, .cycles = cycles});
+    }
+  }
 
   Platform platform_;
+  ukvm::ObsBus bus_;
   PhysicalMemory memory_;
   InterruptController irq_controller_;
   IpiController ipis_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
   uint32_t current_vcpu_ = 0;
   ukvm::NameTable names_;
-  ukvm::CrossingLedger ledger_{names_};
-  ukvm::CpuAccounting accounting_;
+  ukvm::CrossingLedger ledger_{names_, bus_};
+  ukvm::CpuAccounting accounting_{&bus_};
   std::vector<ukvm::CpuAccounting> vcpu_accounting_;
   std::unordered_map<uint64_t, ShootdownRequest> shootdowns_;
   uint64_t next_shootdown_id_ = 1;
@@ -306,16 +308,10 @@ class Machine {
   ShootdownStats shootdown_stats_;
   ukvm::Counters counters_{names_};
   ukvm::Tracer tracer_{names_};
-  uint32_t trace_sink_id_ = 0;
   ukvm::RequestTrace reqtrace_{names_};
-  uint32_t reqtrace_sink_id_ = 0;
   bool postmortem_dumped_ = false;
   uint32_t trace_idle_ = 0;
-  uint32_t trace_irq_assert_ = 0;
-  uint32_t trace_irq_deliver_ = 0;
   TrapHandler* trap_handler_ = nullptr;
-  std::function<void(const DmaAccess&)> dma_audit_hook_;
-  RaceSink* race_sink_ = nullptr;
   uint64_t next_race_object_id_ = 1;
 
   uint64_t now_ = 0;

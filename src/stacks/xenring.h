@@ -6,12 +6,12 @@
 // descriptor copies. Notification still travels out-of-band via event
 // channels — the ring is only the data plane.
 //
-// When the machine has a race sink installed (E20), the ring reports the
-// real protocol it models: the producer's slot stores (SharedWrite per
-// descriptor), its index publish (RingPublish — the release half), and the
-// consumer's index check (RingObserve — the acquire half) followed by its
-// slot loads (SharedRead). Absolute produced/consumed counters per side
-// stand in for the shared ring indices. BindRaceEndpoints names which
+// When the race detector listens on the machine's bus (E20), the ring
+// reports the real protocol it models: the producer's slot stores
+// (kSharedWrite per descriptor), its index publish (kRingPublish — the
+// release half), and the consumer's slot reads (kRingRead — index check,
+// acquire, slot load). Absolute produced/consumed counters per side stand
+// in for the shared ring indices. BindRaceEndpoints names which
 // domain plays which role — the *current* domain is wrong for completions
 // that run in device-event context. SetRaceMutation seeds one protocol bug
 // for the detector's self-tests.
@@ -36,6 +36,22 @@
 #include "src/hw/machine.h"
 
 namespace ustack {
+
+// Reports one access to a grant-shared I/O frame on the machine's bus, if
+// the race detector listens. Keyed by (frame, current owner), so a recycled
+// or flipped frame gets a fresh shadow cell — ownership transfer is its own
+// ordering.
+inline void RaceFrameAccess(hwsim::Machine& machine, ukvm::DomainId ctx, hwsim::Frame frame,
+                            bool write, const char* what) {
+  const ukvm::ObsKind kind = write ? ukvm::ObsKind::kSharedWrite : ukvm::ObsKind::kSharedRead;
+  if (!machine.bus().Wants(kind) || !ctx.valid()) {
+    return;
+  }
+  const ukvm::DomainId owner = machine.memory().OwnerOf(frame);
+  const uint64_t key =
+      ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kFrame, frame, owner.valid() ? owner.value() : 0);
+  machine.bus().Emit({.kind = kind, .domain = ctx, .key = key, .label = what});
+}
 
 // Seeded protocol violations for the race detector's mutation self-tests.
 // One-shot: the mutation applies to the next affected operation only.
@@ -62,7 +78,7 @@ class XenRing {
   XenRing& operator=(const XenRing&) = delete;
 
   // Names the domains on each end for race reporting. Without this the ring
-  // stays uninstrumented even when a sink is installed.
+  // stays uninstrumented even while the race detector listens.
   void BindRaceEndpoints(ukvm::DomainId frontend, ukvm::DomainId backend) {
     front_ = frontend;
     back_ = backend;
@@ -204,7 +220,7 @@ class XenRing {
 
  private:
   bool RaceOn(ukvm::DomainId ctx) const {
-    return machine_.race_sink() != nullptr && ctx.valid();
+    return machine_.bus().Wants(ukvm::ObsKind::kRingRead) && ctx.valid();
   }
   uint64_t RingId() {
     if (ring_id_ == 0) {
@@ -212,13 +228,8 @@ class XenRing {
     }
     return ring_id_;
   }
-  uint64_t ReqKey() { return hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kRingReq, RingId()); }
-  uint64_t RespKey() { return hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kRingResp, RingId()); }
-  const char* SlotLabel(uint64_t key) const {
-    return (static_cast<hwsim::RaceEdgeKind>(key >> 56) == hwsim::RaceEdgeKind::kRingReq)
-               ? "ring.req"
-               : "ring.resp";
-  }
+  uint64_t ReqKey() { return ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kRingReq, RingId()); }
+  uint64_t RespKey() { return ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kRingResp, RingId()); }
   bool TraceOn() const { return machine_.reqtrace().enabled(); }
   void TraceStash(ukvm::RingSide side, uint64_t index) {
     if (TraceOn()) {
@@ -252,17 +263,27 @@ class XenRing {
     return true;
   }
 
-  // Traffic from before the sink was installed (the detector attaches after
-  // boot, and frontends advertise rx buffers during it) is ordered history:
-  // mark everything already produced as published, with no context, so it
+  void RacePublish(ukvm::DomainId ctx, uint64_t key, uint64_t count) {
+    machine_.bus().Emit({.kind = ukvm::ObsKind::kRingPublish, .domain = ctx, .key = key,
+                         .index = count});
+  }
+  void RaceSlotWrite(ukvm::DomainId ctx, uint64_t key, uint64_t index) {
+    const bool req = static_cast<ukvm::RaceEdgeKind>(key >> 56) == ukvm::RaceEdgeKind::kRingReq;
+    machine_.bus().Emit({.kind = ukvm::ObsKind::kSharedWrite, .domain = ctx, .key = key,
+                         .index = index % capacity_, .label = req ? "ring.req" : "ring.resp"});
+  }
+
+  // Traffic from before the detector attached (it attaches after boot, and
+  // frontends advertise rx buffers during it) is ordered history: mark
+  // everything already produced as published, with no context, so it
   // neither fires kRingReadBeforePublish nor adds an artificial HB edge.
-  void RaceBaseline(hwsim::RaceSink& sink) {
+  void RaceBaseline() {
     if (race_baseline_done_) {
       return;
     }
     race_baseline_done_ = true;
-    sink.RingPublish(ukvm::DomainId::Invalid(), ReqKey(), req_prod_);
-    sink.RingPublish(ukvm::DomainId::Invalid(), RespKey(), rsp_prod_);
+    RacePublish(ukvm::DomainId::Invalid(), ReqKey(), req_prod_);
+    RacePublish(ukvm::DomainId::Invalid(), RespKey(), rsp_prod_);
   }
 
   // Producer protocol for `count` descriptors starting at absolute index
@@ -271,37 +292,34 @@ class XenRing {
     if (!RaceOn(ctx)) {
       return;
     }
-    hwsim::RaceSink& sink = *machine_.race_sink();
-    RaceBaseline(sink);
+    RaceBaseline();
     if (TakeMutation(RingMutation::kEarlyPublish)) {
       // Bug under test: index published before the slot stores land.
-      sink.RingPublish(ctx, key, prod + count);
+      RacePublish(ctx, key, prod + count);
       for (size_t i = 0; i < count; ++i) {
-        sink.SharedWrite(ctx, key, (prod + i) % capacity_, SlotLabel(key));
+        RaceSlotWrite(ctx, key, prod + i);
       }
       return;
     }
     for (size_t i = 0; i < count; ++i) {
-      sink.SharedWrite(ctx, key, (prod + i) % capacity_, SlotLabel(key));
+      RaceSlotWrite(ctx, key, prod + i);
     }
     if (TakeMutation(RingMutation::kSkipPublish)) {
       return;  // bug under test: slot stores with no index publish
     }
-    sink.RingPublish(ctx, key, prod + count);
+    RacePublish(ctx, key, prod + count);
   }
 
-  // Consumer protocol for the descriptor at absolute index `cons`: check
-  // the published index, then load the slot (skipped if unpublished, so a
-  // missing publish fires exactly one rule).
+  // Consumer protocol for the descriptor at absolute index `cons`: one ring
+  // read, which the detector checks against the published index before it
+  // loads the slot.
   void RaceConsume(ukvm::DomainId ctx, uint64_t key, uint64_t cons, const char* what) {
     if (!RaceOn(ctx)) {
       return;
     }
-    hwsim::RaceSink& sink = *machine_.race_sink();
-    RaceBaseline(sink);
-    if (sink.RingObserve(ctx, key, cons)) {
-      sink.SharedRead(ctx, key, cons % capacity_, what);
-    }
+    RaceBaseline();
+    machine_.bus().Emit({.kind = ukvm::ObsKind::kRingRead, .domain = ctx, .key = key,
+                         .index = cons, .slot = cons % capacity_, .label = what});
   }
 
   hwsim::Machine& machine_;

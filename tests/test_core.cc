@@ -87,7 +87,8 @@ TEST(Error, TryMacroPropagates) {
 
 TEST(Crossings, RecordAggregates) {
   ukvm::NameTable names;
-  CrossingLedger ledger(names);
+  ObsBus bus;
+  CrossingLedger ledger(names, bus);
   const uint32_t call = ledger.InternMechanism("x.call", CrossingKind::kSyncCall);
   const uint32_t xfer = ledger.InternMechanism("x.xfer", CrossingKind::kDataTransfer);
   ledger.Record(call, DomainId(1), DomainId(2), 100, 0);
@@ -107,7 +108,8 @@ TEST(Crossings, RecordAggregates) {
 
 TEST(Crossings, InternIsIdempotent) {
   ukvm::NameTable names;
-  CrossingLedger ledger(names);
+  ObsBus bus;
+  CrossingLedger ledger(names, bus);
   const uint32_t a = ledger.InternMechanism("same", CrossingKind::kTrap);
   const uint32_t b = ledger.InternMechanism("same", CrossingKind::kTrap);
   EXPECT_EQ(a, b);
@@ -115,13 +117,15 @@ TEST(Crossings, InternIsIdempotent) {
 
 TEST(Crossings, UnknownMechanismIsZero) {
   ukvm::NameTable names;
-  CrossingLedger ledger(names);
+  ObsBus bus;
+  CrossingLedger ledger(names, bus);
   EXPECT_EQ(ledger.StatsFor("nope").count, 0u);
 }
 
 TEST(Crossings, SnapshotDiff) {
   ukvm::NameTable names;
-  CrossingLedger ledger(names);
+  ObsBus bus;
+  CrossingLedger ledger(names, bus);
   const uint32_t call = ledger.InternMechanism("m", CrossingKind::kSyncCall);
   ledger.Record(call, DomainId(1), DomainId(2), 10, 0);
   const CrossingSnapshot before = ledger.Snapshot();
@@ -136,7 +140,8 @@ TEST(Crossings, SnapshotDiff) {
 
 TEST(Crossings, IpcLikeExcludesInterrupts) {
   ukvm::NameTable names;
-  CrossingLedger ledger(names);
+  ObsBus bus;
+  CrossingLedger ledger(names, bus);
   const uint32_t irq = ledger.InternMechanism("irq", CrossingKind::kInterrupt);
   const uint32_t call = ledger.InternMechanism("call", CrossingKind::kSyncCall);
   ledger.Record(irq, DomainId(1), DomainId(2), 0, 0);
@@ -146,7 +151,8 @@ TEST(Crossings, IpcLikeExcludesInterrupts) {
 
 TEST(Crossings, ResetClearsCountsKeepsMechanisms) {
   ukvm::NameTable names;
-  CrossingLedger ledger(names);
+  ObsBus bus;
+  CrossingLedger ledger(names, bus);
   const uint32_t call = ledger.InternMechanism("m", CrossingKind::kSyncCall);
   ledger.Record(call, DomainId(1), DomainId(2), 10, 5);
   ledger.Reset();

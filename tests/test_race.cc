@@ -15,9 +15,9 @@
 
 #include "src/check/auditor.h"
 #include "src/check/race.h"
+#include "src/core/obs.h"
 #include "src/hw/machine.h"
 #include "src/hw/platform.h"
-#include "src/hw/race_sink.h"
 #include "src/stacks/native_stack.h"
 #include "src/stacks/ukernel_stack.h"
 #include "src/stacks/vmm_stack.h"
@@ -32,29 +32,42 @@ using ucheck::RaceDetector;
 using ucheck::RaceRule;
 using ukvm::DomainId;
 using ukvm::Err;
+using ukvm::ObsKind;
 using ustack::RingMutation;
 using ustack::XenbusState;
 
 // --- Happens-before core ----------------------------------------------------------
 
-// A bare machine plus detector; accesses and edges are reported directly
-// through the RaceSink interface, no stack in between.
+// A bare machine plus detector; accesses and edges are emitted straight on
+// the machine's bus, no stack in between.
 struct CoreFixture {
   CoreFixture() : machine(hwsim::MakeX86Platform(), 4ull * 1024 * 1024), det(machine) {}
+
+  void Emit(const ukvm::ObsEvent& event) { machine.bus().Emit(event); }
+  void Write(DomainId ctx, uint64_t offset = 0) {
+    Emit({.kind = ObsKind::kSharedWrite, .domain = ctx, .key = obj, .index = offset,
+          .label = "test"});
+  }
+  void Read(DomainId ctx, uint64_t offset = 0) {
+    Emit({.kind = ObsKind::kSharedRead, .domain = ctx, .key = obj, .index = offset,
+          .label = "test"});
+  }
+  void Release(DomainId ctx) { Emit({.kind = ObsKind::kRelease, .domain = ctx, .key = key}); }
+  void Acquire(DomainId ctx) { Emit({.kind = ObsKind::kAcquire, .domain = ctx, .key = key}); }
 
   hwsim::Machine machine;
   RaceDetector det;
   DomainId d1{1};
   DomainId d2{2};
   // An arbitrary shared object (a grant-mapped frame) and sync key.
-  uint64_t obj = hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kFrame, 0x42, 1);
-  uint64_t key = hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kEvtchn, 2, 7);
+  uint64_t obj = ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kFrame, 0x42, 1);
+  uint64_t key = ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kEvtchn, 2, 7);
 };
 
 TEST(RaceCore, UnorderedWritesFire) {
   CoreFixture f;
-  f.det.SharedWrite(f.d1, f.obj, 0, "test");
-  f.det.SharedWrite(f.d2, f.obj, 0, "test");
+  f.Write(f.d1);
+  f.Write(f.d2);
   EXPECT_EQ(f.det.RuleCount(RaceRule::kUnsyncedSharedAccess), 1u);
   ASSERT_EQ(f.det.violations().size(), 1u);
   EXPECT_EQ(f.det.violations()[0].rule, RaceRule::kUnsyncedSharedAccess);
@@ -62,58 +75,81 @@ TEST(RaceCore, UnorderedWritesFire) {
 
 TEST(RaceCore, UnorderedReadAfterWriteFires) {
   CoreFixture f;
-  f.det.SharedWrite(f.d1, f.obj, 0, "test");
-  f.det.SharedRead(f.d2, f.obj, 0, "test");
+  f.Write(f.d1);
+  f.Read(f.d2);
   EXPECT_EQ(f.det.RuleCount(RaceRule::kUnsyncedSharedAccess), 1u);
 }
 
 TEST(RaceCore, UnorderedWriteAfterReadFires) {
   CoreFixture f;
-  f.det.SharedRead(f.d1, f.obj, 0, "test");  // no prior writer: silent
+  f.Read(f.d1);  // no prior writer: silent
   EXPECT_EQ(f.det.violation_count(), 0u);
-  f.det.SharedWrite(f.d2, f.obj, 0, "test");  // unordered vs the read
+  f.Write(f.d2);  // unordered vs the read
   EXPECT_EQ(f.det.RuleCount(RaceRule::kUnsyncedSharedAccess), 1u);
 }
 
 TEST(RaceCore, ReleaseAcquireOrdersAccesses) {
   CoreFixture f;
-  f.det.SharedWrite(f.d1, f.obj, 0, "test");
-  f.det.Release(f.d1, f.key);
-  f.det.Acquire(f.d2, f.key);
-  f.det.SharedRead(f.d2, f.obj, 0, "test");
-  f.det.SharedWrite(f.d2, f.obj, 0, "test");
+  f.Write(f.d1);
+  f.Release(f.d1);
+  f.Acquire(f.d2);
+  f.Read(f.d2);
+  f.Write(f.d2);
   EXPECT_EQ(f.det.violation_count(), 0u);
   // And back: d2's write flows to d1 over a second edge.
-  f.det.Release(f.d2, f.key);
-  f.det.Acquire(f.d1, f.key);
-  f.det.SharedRead(f.d1, f.obj, 0, "test");
+  f.Release(f.d2);
+  f.Acquire(f.d1);
+  f.Read(f.d1);
   EXPECT_EQ(f.det.violation_count(), 0u);
 }
 
 TEST(RaceCore, AccessAfterReleaseIsNotCovered) {
   CoreFixture f;
-  f.det.Release(f.d1, f.key);
-  f.det.SharedWrite(f.d1, f.obj, 0, "test");  // after the release: not in the edge
-  f.det.Acquire(f.d2, f.key);
-  f.det.SharedRead(f.d2, f.obj, 0, "test");
+  f.Release(f.d1);
+  f.Write(f.d1);  // after the release: not in the edge
+  f.Acquire(f.d2);
+  f.Read(f.d2);
   EXPECT_EQ(f.det.RuleCount(RaceRule::kUnsyncedSharedAccess), 1u);
 }
 
 TEST(RaceCore, DeadContextOrdersEverything) {
   CoreFixture f;
-  f.det.SharedWrite(f.d1, f.obj, 0, "test");
+  f.Write(f.d1);
   // Domain death (revocation shootdown is the real ordering): the survivor
   // may reuse the frame without a reported edge.
-  f.det.ContextDead(f.d1);
-  f.det.SharedWrite(f.d2, f.obj, 0, "test");
+  f.Emit({.kind = ObsKind::kContextDead, .domain = f.d1});
+  f.Write(f.d2);
   EXPECT_EQ(f.det.violation_count(), 0u);
 }
 
 TEST(RaceCore, DistinctOffsetsDoNotConflict) {
   CoreFixture f;
-  f.det.SharedWrite(f.d1, f.obj, 0, "test");
-  f.det.SharedWrite(f.d2, f.obj, 1, "test");
+  f.Write(f.d1);
+  f.Write(f.d2, 1);
   EXPECT_EQ(f.det.violation_count(), 0u);
+}
+
+TEST(RaceCore, RingReadOfUnpublishedIndexFiresOnceAndSkipsTheLoad) {
+  CoreFixture f;
+  const uint64_t ring = ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kRingReq, 1);
+  f.Emit({.kind = ObsKind::kRingPublish, .domain = f.d1, .key = ring, .index = 1});
+  f.Emit({.kind = ObsKind::kRingRead, .domain = f.d2, .key = ring, .index = 1, .slot = 1,
+          .label = "test"});
+  EXPECT_EQ(f.det.RuleCount(RaceRule::kRingReadBeforePublish), 1u);
+  EXPECT_EQ(f.det.violation_count(), 1u);
+  RaceDetector::Stats s = f.det.stats();
+  EXPECT_EQ(s.ring_observes, 1u);
+  EXPECT_EQ(s.acquires, 0u);
+  EXPECT_EQ(s.shared_accesses, 0u);
+  EXPECT_EQ(s.shadow_cells, 0u);
+  // The published index acquires the ring and loads its slot.
+  f.Emit({.kind = ObsKind::kRingRead, .domain = f.d2, .key = ring, .index = 0, .slot = 0,
+          .label = "test"});
+  s = f.det.stats();
+  EXPECT_EQ(f.det.violation_count(), 1u);
+  EXPECT_EQ(s.acquires, 1u);
+  EXPECT_EQ(s.shared_accesses, 1u);
+  EXPECT_EQ(s.shadow_cells, 1u);
 }
 
 // --- Ring-discipline mutations ----------------------------------------------------

@@ -1,21 +1,30 @@
 // E17 observability tests: histogram bucket math, flight-recorder ring
-// semantics, span discipline, profiler attribution, multi-sink ledger
-// fan-out, the one name table shared by every instrument, the probe
-// scope, and — end to end — deterministic byte-identical exports from
-// all three stacks with the auditor running alongside the tracer.
+// semantics, span discipline, profiler attribution, the observation bus
+// (fan-out order, kind masks, detach), the one name table shared by every
+// instrument, the probe scope, the post-mortem bundle, and — end to end —
+// deterministic byte-identical exports from all three stacks with the
+// auditor running alongside the tracer.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/check/auditor.h"
 #include "src/core/crossings.h"
 #include "src/core/histogram.h"
 #include "src/core/names.h"
+#include "src/core/obs.h"
 #include "src/core/reqtrace.h"
 #include "src/core/trace.h"
 #include "src/experiments/trace_export.h"
+#include "src/hw/machine.h"
+#include "src/hw/platform.h"
 #include "src/stacks/native_stack.h"
 #include "src/stacks/ukernel_stack.h"
 #include "src/stacks/vmm_stack.h"
@@ -242,30 +251,99 @@ TEST(Profiler, AttributesChargesToActivePath) {
   EXPECT_EQ(rows[3].cycles, 5u);
 }
 
-// --- Ledger fan-out ------------------------------------------------------------
+// --- Observation bus -----------------------------------------------------------
 
-TEST(Ledger, MultipleTraceSinksAllObserveEvents) {
+using KindLogEntry = std::pair<char, ukvm::ObsKind>;
+
+// Appends (tag, kind) for every event it sees to a log it may share.
+class KindLog : public ukvm::Observer {
+ public:
+  KindLog(char tag, std::vector<KindLogEntry>& log) : tag_(tag), log_(log) {}
+  void OnEvent(const ukvm::ObsEvent& event) override { log_.emplace_back(tag_, event.kind); }
+
+ private:
+  char tag_;
+  std::vector<KindLogEntry>& log_;
+};
+
+constexpr ukvm::ObsMask kCrossingsOnly = ukvm::ObsBit(ukvm::ObsKind::kCrossing);
+constexpr ukvm::ObsMask kEveryKind = ~ukvm::ObsMask{0};
+
+TEST(ObsBus, FanOutFollowsAttachOrder) {
   ukvm::NameTable names;
-  ukvm::CrossingLedger ledger(names);
+  ukvm::ObsBus bus;
+  ukvm::CrossingLedger ledger(names, bus);
   const uint32_t mech = ledger.InternMechanism("test.xing", ukvm::CrossingKind::kSyncCall);
-
-  int a_count = 0;
-  int b_count = 0;
-  const uint32_t a = ledger.AddTraceSink([&](const ukvm::CrossingEvent&) { ++a_count; });
-  const uint32_t b = ledger.AddTraceSink([&](const ukvm::CrossingEvent&) { ++b_count; });
-  EXPECT_TRUE(ledger.tracing());
-
+  std::vector<KindLogEntry> log;
+  KindLog second('b', log);
+  KindLog first('a', log);
+  bus.Attach(&second, kCrossingsOnly);
+  bus.Attach(&first, kCrossingsOnly);
   ledger.Record(mech, DomainId{1}, DomainId{2}, 100, 0);
-  EXPECT_EQ(a_count, 1);
-  EXPECT_EQ(b_count, 1);
-
-  ledger.RemoveTraceSink(a);
+  // Re-attaching an attached observer keeps its place.
+  bus.Attach(&second, kCrossingsOnly);
   ledger.Record(mech, DomainId{1}, DomainId{2}, 100, 0);
-  EXPECT_EQ(a_count, 1);
-  EXPECT_EQ(b_count, 2);
+  constexpr ukvm::ObsKind kX = ukvm::ObsKind::kCrossing;
+  EXPECT_EQ(log, (std::vector<KindLogEntry>{{'b', kX}, {'a', kX}, {'b', kX}, {'a', kX}}));
+}
 
-  ledger.RemoveTraceSink(b);
-  EXPECT_FALSE(ledger.tracing());
+TEST(ObsBus, CrossingObserverNeverSeesChargeOrRaceEvents) {
+  hwsim::Machine machine(hwsim::MakeX86Platform(), 4ull * 1024 * 1024);
+  const uint32_t mech =
+      machine.ledger().InternMechanism("test.xing", ukvm::CrossingKind::kSyncCall);
+  std::vector<KindLogEntry> log;
+  KindLog all('*', log);
+  KindLog xing('x', log);
+  // `all` makes charges and race edges wanted, so they are emitted.
+  machine.bus().Attach(&all, kEveryKind);
+  machine.bus().Attach(&xing, kCrossingsOnly);
+  machine.ChargeTo(DomainId{1}, 10);
+  machine.EmitEdge(ukvm::ObsKind::kRelease, DomainId{1},
+                   ukvm::RaceEdgeKey(ukvm::RaceEdgeKind::kEvtchn, 2, 7));
+  machine.ledger().Record(mech, DomainId{1}, DomainId{2}, 100, 0);
+  machine.bus().Detach(&xing);
+  machine.bus().Detach(&all);
+  using K = ukvm::ObsKind;
+  EXPECT_EQ(log, (std::vector<KindLogEntry>{
+                     {'*', K::kCharge}, {'*', K::kRelease}, {'*', K::kCrossing},
+                     {'x', K::kCrossing}}));
+}
+
+TEST(ObsBus, DetachMidStreamStopsDelivery) {
+  ukvm::NameTable names;
+  ukvm::ObsBus bus;
+  ukvm::CrossingLedger ledger(names, bus);
+  const uint32_t mech = ledger.InternMechanism("test.xing", ukvm::CrossingKind::kSyncCall);
+  std::vector<KindLogEntry> log;
+  KindLog a('a', log);
+  KindLog b('b', log);
+  bus.Attach(&a, kCrossingsOnly);
+  bus.Attach(&b, kCrossingsOnly);
+  ledger.Record(mech, DomainId{1}, DomainId{2}, 100, 0);
+  bus.Detach(&a);
+  ledger.Record(mech, DomainId{1}, DomainId{2}, 100, 0);
+  EXPECT_TRUE(bus.Wants(ukvm::ObsKind::kCrossing));
+  bus.Detach(&b);
+  ledger.Record(mech, DomainId{1}, DomainId{2}, 100, 0);
+  EXPECT_FALSE(bus.Wants(ukvm::ObsKind::kCrossing));
+  constexpr ukvm::ObsKind kX = ukvm::ObsKind::kCrossing;
+  EXPECT_EQ(log, (std::vector<KindLogEntry>{{'a', kX}, {'b', kX}, {'b', kX}}));
+}
+
+TEST(ObsBus, WantsIsFalseForKindsWithNoSubscriber) {
+  // A bare machine has no observer at all: every emit site stays idle.
+  hwsim::Machine machine(hwsim::MakeX86Platform(), 4ull * 1024 * 1024);
+  std::vector<KindLogEntry> log;
+  KindLog xing('x', log);
+  machine.bus().Attach(&xing, kCrossingsOnly);
+  for (uint32_t k = 0; k < static_cast<uint32_t>(ukvm::ObsKind::kCount); ++k) {
+    const auto kind = static_cast<ukvm::ObsKind>(k);
+    EXPECT_EQ(machine.bus().Wants(kind), kind == ukvm::ObsKind::kCrossing) << k;
+  }
+  machine.bus().Detach(&xing);
+  for (uint32_t k = 0; k < static_cast<uint32_t>(ukvm::ObsKind::kCount); ++k) {
+    EXPECT_FALSE(machine.bus().Wants(static_cast<ukvm::ObsKind>(k))) << k;
+  }
 }
 
 // --- One name table ------------------------------------------------------------
@@ -283,7 +361,8 @@ TEST(NameTable, EmptyNameIsIdZeroAndInternIsIdempotent) {
 
 TEST(NameTable, LedgerMechanismIdIsValidInEveryInstrument) {
   ukvm::NameTable names;
-  ukvm::CrossingLedger ledger(names);
+  ukvm::ObsBus bus;
+  ukvm::CrossingLedger ledger(names, bus);
   Tracer tracer(names);
   ukvm::RequestTrace rt(names);
   uint64_t now = 0;
@@ -292,8 +371,8 @@ TEST(NameTable, LedgerMechanismIdIsValidInEveryInstrument) {
   rt.SetTimeSource([&now] { return now; });
   tracer.Enable(TraceConfig{true, 64});
   rt.Enable(ukvm::ReqTraceConfig{true});
-  ledger.AddTraceSink([&](const ukvm::CrossingEvent& e) { tracer.OnCrossing(e, ledger); });
-  ledger.AddTraceSink([&](const ukvm::CrossingEvent& e) { rt.OnCrossing(e, ledger); });
+  bus.Attach(&tracer, Tracer::kObsKinds);
+  bus.Attach(&rt, ukvm::RequestTrace::kObsKinds);
 
   const uint32_t mech = ledger.InternMechanism("test.call", ukvm::CrossingKind::kSyncCall);
   const uint32_t name = ledger.NameId(mech);
@@ -603,9 +682,10 @@ TEST(TraceE2E, AuditorAndTracerRunTogetherCleanly) {
   stack.auditor()->Checkpoint("e17");
   EXPECT_EQ(stack.auditor()->violation_count(), 0u);
 
-  // Both ledger sinks were live the whole run: the auditor linted every
+  // Both observers were attached the whole run: the auditor linted every
   // crossing while the tracer recorded them.
-  EXPECT_TRUE(stack.machine().ledger().tracing());
+  EXPECT_TRUE(stack.machine().bus().Wants(ukvm::ObsKind::kCrossing));
+  EXPECT_GT(stack.auditor()->lint().events_observed(), 0u);
   EXPECT_GT(stack.machine().tracer().events_recorded(), 0u);
 }
 
@@ -634,6 +714,79 @@ TEST(TraceE2E, UkernelHistogramsCaptureCrossingLatency) {
         }
       });
   EXPECT_TRUE(saw_ipc_hist);
+}
+
+}  // namespace
+
+namespace {
+
+// --- Post-mortem bundle ----------------------------------------------------------
+
+// Points UKVM_TRACE_DIR at a fresh directory for one test's lifetime.
+class ScopedTraceDir {
+ public:
+  explicit ScopedTraceDir(const std::string& name)
+      : dir_(std::filesystem::path(::testing::TempDir()) / name) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    setenv("UKVM_TRACE_DIR", dir_.c_str(), 1);
+  }
+  ~ScopedTraceDir() {
+    unsetenv("UKVM_TRACE_DIR");
+    std::filesystem::remove_all(dir_);
+  }
+  ScopedTraceDir(const ScopedTraceDir&) = delete;
+  ScopedTraceDir& operator=(const ScopedTraceDir&) = delete;
+
+  std::vector<std::filesystem::path> Files() const {
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      files.push_back(entry.path());
+    }
+    return files;
+  }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+TEST(PostMortem, FirstAuditorViolationWritesOneBundleWithTheOffendingCrossing) {
+  ScopedTraceDir trace_dir("ukvm_postmortem_test");
+  hwsim::Machine machine(hwsim::MakeX86Platform(), 4ull * 1024 * 1024);
+  ucheck::Auditor auditor(machine);
+  machine.EnableTracing(TraceConfig{true, 64});
+  const uint32_t reply =
+      machine.ledger().InternMechanism("xen.hypercall.return", ukvm::CrossingKind::kSyncReply);
+
+  // A reply no call opened: the linter flags it, and the checkpoint that
+  // reports it dumps the bundle.
+  machine.ledger().Record(reply, DomainId{1}, DomainId{2}, 7, 0);
+  auditor.Checkpoint("first");
+  ASSERT_EQ(auditor.violation_count(), 1u);
+  std::vector<std::filesystem::path> files = trace_dir.Files();
+  ASSERT_EQ(files.size(), 1u);
+  const std::string file = files[0].filename().string();
+  EXPECT_TRUE(file.starts_with("POSTMORTEM_")) << file;
+  EXPECT_TRUE(file.ends_with("_auditor-violation.txt")) << file;
+
+  std::ifstream in(files[0]);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string bundle = text.str();
+  const size_t recorder = bundle.find("== flight recorder");
+  ASSERT_NE(recorder, std::string::npos);
+  const std::string crossing_type =
+      "type=" + std::to_string(static_cast<unsigned>(TraceEventType::kCrossing));
+  EXPECT_NE(bundle.find(crossing_type + " name=xen.hypercall.return dom=dom2 dur=7 a=1",
+                        recorder),
+            std::string::npos)
+      << bundle;
+
+  // At most one bundle per machine: a second violation writes nothing.
+  machine.ledger().Record(reply, DomainId{1}, DomainId{2}, 7, 0);
+  auditor.Checkpoint("second");
+  EXPECT_EQ(auditor.violation_count(), 2u);
+  EXPECT_EQ(trace_dir.Files().size(), 1u);
 }
 
 }  // namespace
