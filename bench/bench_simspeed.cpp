@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "src/hw/disk.h"
 #include "src/hw/machine.h"
 #include "src/stacks/native_stack.h"
 #include "src/stacks/ukernel_stack.h"
@@ -22,6 +23,26 @@ void BM_MachineChargeOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MachineChargeOnly);
+
+// Construction cost of the two largest simulated objects: a 64 MiB machine
+// (the ukernel/vmm stacks' default) and a default 32 MiB disk. Both are
+// sparse, so this tracks table setup, not the memory they model.
+void BM_MachineCtor(benchmark::State& state) {
+  for (auto _ : state) {
+    hwsim::Machine machine(hwsim::MakeX86Platform(), 64 << 20);
+    benchmark::DoNotOptimize(machine.memory().free_frames());
+  }
+}
+BENCHMARK(BM_MachineCtor);
+
+void BM_DiskCtor(benchmark::State& state) {
+  hwsim::Machine machine(hwsim::MakeX86Platform(), 1 << 20);
+  for (auto _ : state) {
+    hwsim::Disk disk(machine, ukvm::IrqLine(6), {});
+    benchmark::DoNotOptimize(disk.resident_chunks());
+  }
+}
+BENCHMARK(BM_DiskCtor);
 
 void BM_PageTableMapUnmap(benchmark::State& state) {
   hwsim::PageTable pt(12, 32);

@@ -9,7 +9,7 @@
 #   4. ThreadSanitizer build (UKVM_TSAN=ON) + complete suite — the simulator
 #      is single-threaded by design, so any report is a design break;
 #   5. E18 lifecycle fuzz sweep: the cross-stack fuzzer's full seed bank
-#      (UKVM_FUZZ_SEEDS, default 128 here vs 32 in plain ctest) under ASan,
+#      (UKVM_FUZZ_SEEDS, default 1024 here vs 32 in plain ctest) under ASan,
 #      every seed auditor-clean and two-run deterministic — the ukernel
 #      banks run as an E23 configuration matrix (full fast-path family and
 #      Call-only);
@@ -91,15 +91,15 @@ cmake --build build-check/tsan -j"${JOBS}"
 ctest --test-dir build-check/tsan -j"${JOBS}" --output-on-failure
 
 echo "== [5/13] E18 lifecycle fuzz sweep (extended seed bank, ASan) =="
-UKVM_FUZZ_SEEDS="${UKVM_FUZZ_SEEDS:-128}" \
+UKVM_FUZZ_SEEDS="${UKVM_FUZZ_SEEDS:-1024}" \
   build-check/asan/tests/ukvm_tests --gtest_filter='FuzzLifecycle.*'
 
 echo "== [6/13] E19 recovery fuzz sweep (extended seed bank, ASan) =="
-UKVM_FUZZ_SEEDS="${UKVM_FUZZ_SEEDS:-128}" \
+UKVM_FUZZ_SEEDS="${UKVM_FUZZ_SEEDS:-1024}" \
   build-check/asan/tests/ukvm_tests --gtest_filter='FuzzRecovery.*'
 
 echo "== [7/13] E23 differential fast-vs-slow IPC fuzz sweep (ASan) =="
-UKVM_FUZZ_SEEDS="${UKVM_FUZZ_SEEDS:-128}" \
+UKVM_FUZZ_SEEDS="${UKVM_FUZZ_SEEDS:-1024}" \
   build-check/asan/tests/ukvm_tests --gtest_filter='FuzzIpcDiff.*'
 
 echo "== [8/13] E17 tracing zero-perturbation gate =="

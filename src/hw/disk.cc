@@ -1,14 +1,14 @@
 #include "src/hw/disk.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace hwsim {
 
 Disk::Disk(Machine& machine, ukvm::IrqLine line, Config config)
-    : machine_(machine), line_(line), config_(config) {
-  backing_.assign(config_.capacity_blocks * config_.block_size, 0);
-}
+    : machine_(machine),
+      line_(line),
+      config_(config),
+      backing_(config_.capacity_blocks * config_.block_size, /*chunk_shift=*/12) {}
 
 ukvm::Result<uint64_t> Disk::SubmitRead(uint64_t lba, uint32_t blocks, Paddr dest) {
   return Submit(Op::kRead, lba, blocks, dest);
@@ -22,11 +22,11 @@ ukvm::Result<uint64_t> Disk::Submit(Op op, uint64_t lba, uint32_t blocks, Paddr 
   if (blocks == 0) {
     return ukvm::Err::kInvalidArgument;
   }
-  if (lba + blocks > config_.capacity_blocks) {
+  if (lba > config_.capacity_blocks || blocks > config_.capacity_blocks - lba) {
     return ukvm::Err::kOutOfRange;
   }
   const uint64_t bytes = uint64_t{blocks} * config_.block_size;
-  if (mem_addr + bytes > machine_.memory().size_bytes()) {
+  if (!machine_.memory().bytes().Contains(mem_addr, bytes)) {
     return ukvm::Err::kOutOfRange;
   }
   const uint64_t request_id = next_request_id_++;
@@ -62,12 +62,11 @@ ukvm::Result<uint64_t> Disk::Submit(Op op, uint64_t lba, uint32_t blocks, Paddr 
     --inflight_;
     const uint64_t disk_off = lba * config_.block_size;
     if (injected == ukvm::Err::kNone) {
+      SparseBytes& ram = machine_.memory().bytes();
       if (op == Op::kRead) {
-        machine_.memory().Write(mem_addr, std::span<const uint8_t>(&backing_[disk_off], bytes));
+        SparseBytes::Copy(backing_, disk_off, ram, mem_addr, bytes);
       } else {
-        std::vector<uint8_t> tmp(bytes);
-        machine_.memory().Read(mem_addr, tmp);
-        std::memcpy(&backing_[disk_off], tmp.data(), bytes);
+        SparseBytes::Copy(ram, mem_addr, backing_, disk_off, bytes);
       }
     }
     completions_.push_back(Completion{request_id, op, injected});
@@ -96,22 +95,20 @@ std::optional<Disk::Completion> Disk::TakeCompletion() {
   return completion;
 }
 
+// lba <= capacity_blocks keeps lba * block_size from wrapping; the store
+// range-checks the rest.
 ukvm::Err Disk::ReadBacking(uint64_t lba, std::span<uint8_t> out) const {
-  const uint64_t off = lba * config_.block_size;
-  if (off + out.size() > backing_.size()) {
+  if (lba > config_.capacity_blocks) {
     return ukvm::Err::kOutOfRange;
   }
-  std::memcpy(out.data(), &backing_[off], out.size());
-  return ukvm::Err::kNone;
+  return backing_.Read(lba * config_.block_size, out);
 }
 
 ukvm::Err Disk::WriteBacking(uint64_t lba, std::span<const uint8_t> in) {
-  const uint64_t off = lba * config_.block_size;
-  if (off + in.size() > backing_.size()) {
+  if (lba > config_.capacity_blocks) {
     return ukvm::Err::kOutOfRange;
   }
-  std::memcpy(&backing_[off], in.data(), in.size());
-  return ukvm::Err::kNone;
+  return backing_.Write(lba * config_.block_size, in);
 }
 
 }  // namespace hwsim

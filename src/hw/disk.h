@@ -9,12 +9,12 @@
 #include <deque>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "src/core/error.h"
 #include "src/core/ids.h"
 #include "src/hw/fault_injector.h"
 #include "src/hw/machine.h"
+#include "src/hw/sparse_bytes.h"
 
 namespace hwsim {
 
@@ -70,9 +70,11 @@ class Disk {
   const Config& config() const { return config_; }
   ukvm::IrqLine line() const { return line_; }
   uint64_t completed_requests() const { return completed_; }
+  // 4 KiB backing chunks materialised by writes; introspection only.
+  uint64_t resident_chunks() const { return backing_.resident_chunks(); }
 
   // Direct backing-store access (no cycles charged); for tests and for
-  // preparing disk images.
+  // preparing disk images. Unwritten blocks read as zeros.
   ukvm::Err ReadBacking(uint64_t lba, std::span<uint8_t> out) const;
   ukvm::Err WriteBacking(uint64_t lba, std::span<const uint8_t> in);
 
@@ -83,7 +85,7 @@ class Disk {
   ukvm::IrqLine line_;
   Config config_;
   FaultInjector* faults_ = nullptr;
-  std::vector<uint8_t> backing_;
+  SparseBytes backing_;  // sparse: host memory only for written chunks
   std::deque<Completion> completions_;
   uint64_t next_request_id_ = 1;
   uint64_t busy_until_ = 0;  // requests are serviced serially

@@ -1,15 +1,14 @@
 #include "src/hw/memory.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstring>
 
 namespace hwsim {
 
-PhysicalMemory::PhysicalMemory(uint64_t bytes, uint32_t page_shift) : page_shift_(page_shift) {
+PhysicalMemory::PhysicalMemory(uint64_t bytes, uint32_t page_shift)
+    : page_shift_(page_shift),
+      bytes_(((bytes + page_size() - 1) >> page_shift) << page_shift, page_shift) {
   assert(page_shift >= 6 && page_shift <= 20);
-  const uint64_t frames = (bytes + page_size() - 1) >> page_shift_;
-  bytes_.assign(frames << page_shift_, 0);
+  const uint64_t frames = bytes_.size() >> page_shift_;
   owners_.assign(frames, ukvm::DomainId::Invalid());
   free_list_.reserve(frames);
   // Hand frames out in ascending order: push in reverse so pop_back yields 0 first.
@@ -25,8 +24,9 @@ ukvm::Result<Frame> PhysicalMemory::AllocFrame(ukvm::DomainId owner) {
   const Frame frame = free_list_.back();
   free_list_.pop_back();
   owners_[frame] = owner;
-  // Kernels zero frames on allocation; model that for reproducibility.
-  std::memset(&bytes_[frame << page_shift_], 0, page_size());
+  // Kernels zero frames on allocation; model that for reproducibility. An
+  // untouched frame reads as zeros, so zeroing is dropping its chunk.
+  bytes_.Drop(frame);
   return frame;
 }
 
@@ -60,30 +60,14 @@ ukvm::DomainId PhysicalMemory::OwnerOf(Frame frame) const {
   return owners_[frame];
 }
 
-ukvm::Err PhysicalMemory::Read(Paddr addr, std::span<uint8_t> out) const {
-  if (addr + out.size() > bytes_.size()) {
-    return ukvm::Err::kOutOfRange;
-  }
-  std::memcpy(out.data(), &bytes_[addr], out.size());
-  return ukvm::Err::kNone;
-}
-
-ukvm::Err PhysicalMemory::Write(Paddr addr, std::span<const uint8_t> in) {
-  if (addr + in.size() > bytes_.size()) {
-    return ukvm::Err::kOutOfRange;
-  }
-  std::memcpy(&bytes_[addr], in.data(), in.size());
-  return ukvm::Err::kNone;
-}
-
 std::span<uint8_t> PhysicalMemory::FrameData(Frame frame) {
   assert(FrameInRange(frame));
-  return std::span<uint8_t>(&bytes_[frame << page_shift_], page_size());
+  return bytes_.MutableChunk(frame);
 }
 
 std::span<const uint8_t> PhysicalMemory::FrameData(Frame frame) const {
   assert(FrameInRange(frame));
-  return std::span<const uint8_t>(&bytes_[frame << page_shift_], page_size());
+  return bytes_.ChunkData(frame);
 }
 
 }  // namespace hwsim

@@ -10,7 +10,7 @@ Nic::Nic(Machine& machine, ukvm::IrqLine line, Config config)
     : machine_(machine), line_(line), config_(config) {}
 
 ukvm::Err Nic::PostRxBuffer(Paddr addr, uint32_t len) {
-  if (len == 0 || addr + len > machine_.memory().size_bytes()) {
+  if (len == 0 || !machine_.memory().bytes().Contains(addr, len)) {
     return ukvm::Err::kOutOfRange;
   }
   if (rx_buffers_.size() >= config_.rx_queue_depth) {

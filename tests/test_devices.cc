@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/drivers/disk_driver.h"
 #include "src/drivers/nic_driver.h"
 #include "src/hw/disk.h"
@@ -78,6 +81,11 @@ TEST_F(NicTest, TransmitValidation) {
   EXPECT_EQ(nic_.Transmit(0, 0), Err::kInvalidArgument);
   EXPECT_EQ(nic_.Transmit(0, 5000), Err::kInvalidArgument);  // > MTU
   EXPECT_EQ(nic_.Transmit(machine_.memory().size_bytes() - 1, 100), Err::kOutOfRange);
+}
+
+TEST_F(NicTest, PostRxBufferRejectsWrappingAddress) {
+  EXPECT_EQ(nic_.PostRxBuffer(UINT64_MAX - 1, 100), Err::kOutOfRange);
+  EXPECT_EQ(nic_.Transmit(UINT64_MAX - 1, 100), Err::kOutOfRange);
 }
 
 TEST_F(NicTest, TxCompletionIrqFires) {
@@ -174,6 +182,67 @@ TEST_F(DiskTest, Validation) {
   EXPECT_EQ(disk_.SubmitRead(0, 0, 0).error(), Err::kInvalidArgument);
   EXPECT_EQ(disk_.SubmitRead(disk_.config().capacity_blocks, 1, 0).error(), Err::kOutOfRange);
   EXPECT_EQ(disk_.SubmitRead(0, 1, machine_.memory().size_bytes()).error(), Err::kOutOfRange);
+  // lba + blocks, lba * block_size + size and addr + bytes would all wrap
+  // around; each must still be rejected.
+  std::vector<uint8_t> buf(512);
+  EXPECT_EQ(disk_.ReadBacking(UINT64_MAX, buf), Err::kOutOfRange);
+  EXPECT_EQ(disk_.WriteBacking(UINT64_MAX, buf), Err::kOutOfRange);
+  EXPECT_EQ(disk_.SubmitRead(UINT64_MAX, 1, 0).error(), Err::kOutOfRange);
+  EXPECT_EQ(disk_.SubmitWrite(UINT64_MAX, 2, 0).error(), Err::kOutOfRange);
+  EXPECT_EQ(disk_.SubmitRead(0, 1, UINT64_MAX - 1).error(), Err::kOutOfRange);
+  EXPECT_EQ(disk_.ReadBacking(disk_.config().capacity_blocks, buf), Err::kOutOfRange);
+  EXPECT_EQ(disk_.ReadBacking(disk_.config().capacity_blocks - 1, buf), Err::kNone);
+}
+
+TEST_F(DiskTest, UntouchedBlocksReadAsZeros) {
+  std::vector<uint8_t> out(4096, 0xFF);
+  ASSERT_EQ(disk_.ReadBacking(100, out), Err::kNone);
+  EXPECT_EQ(out, std::vector<uint8_t>(out.size(), 0));
+  EXPECT_EQ(disk_.resident_chunks(), 0u);
+
+  // DMA of never-written blocks over a dirty frame zeroes it.
+  auto& mem = machine_.memory();
+  auto frame = mem.AllocFrame(DomainId(1));
+  ASSERT_TRUE(frame.ok());
+  const std::vector<uint8_t> ones(4096, 1);
+  ASSERT_EQ(mem.Write(mem.FrameBase(*frame), ones), Err::kNone);
+  ASSERT_TRUE(disk_.SubmitRead(100, 8, mem.FrameBase(*frame)).ok());
+  machine_.RunUntilIdle();
+  ASSERT_EQ(mem.Read(mem.FrameBase(*frame), out), Err::kNone);
+  EXPECT_EQ(out, std::vector<uint8_t>(out.size(), 0));
+  EXPECT_EQ(disk_.resident_chunks(), 0u);
+}
+
+TEST_F(DiskTest, DmaAcrossChunkBoundariesRoundTrips) {
+  // 16 blocks starting at lba 3 span three 4 KiB backing chunks and, from a
+  // frame-unaligned address, three memory frames.
+  auto& mem = machine_.memory();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(mem.AllocFrame(DomainId(1)).ok());
+  }
+  std::vector<uint8_t> data(16 * 512);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  ASSERT_EQ(mem.Write(100, data), Err::kNone);
+  ASSERT_TRUE(disk_.SubmitWrite(3, 16, 100).ok());
+  machine_.RunUntilIdle();
+  EXPECT_EQ(disk_.resident_chunks(), 3u);
+  std::vector<uint8_t> check(data.size());
+  ASSERT_EQ(disk_.ReadBacking(3, check), Err::kNone);
+  EXPECT_EQ(check, data);
+
+  ASSERT_TRUE(disk_.SubmitRead(3, 16, 5000).ok());
+  machine_.RunUntilIdle();
+  ASSERT_EQ(mem.Read(5000, check), Err::kNone);
+  EXPECT_EQ(check, data);
+}
+
+TEST(DiskSparse, BareMachineAndDiskHoldNoChunks) {
+  Machine machine(MakeX86Platform(), 64 << 20);
+  Disk disk(machine, IrqLine(6), {});
+  EXPECT_EQ(machine.memory().resident_frames(), 0u);
+  EXPECT_EQ(disk.resident_chunks(), 0u);
 }
 
 TEST_F(DiskTest, RequestsCompleteInOrder) {

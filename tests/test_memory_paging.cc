@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 #include <unordered_map>
 
@@ -70,6 +72,74 @@ TEST(PhysicalMemory, ReadWriteBounds) {
   EXPECT_EQ(out, buf);
   EXPECT_EQ(mem.Write(8190, buf), Err::kOutOfRange);
   EXPECT_EQ(mem.Read(8190, out), Err::kOutOfRange);
+  // addr + size would wrap around to a small value; it must still fail.
+  EXPECT_EQ(mem.Write(UINT64_MAX - 1, buf), Err::kOutOfRange);
+  EXPECT_EQ(mem.Read(UINT64_MAX - 1, out), Err::kOutOfRange);
+}
+
+TEST(PhysicalMemory, UntouchedFramesReadAsZerosAndCostNothing) {
+  PhysicalMemory mem(64 << 20, 12);
+  EXPECT_EQ(mem.resident_frames(), 0u);
+  std::vector<uint8_t> out(3 * 4096, 0xFF);
+  EXPECT_EQ(mem.Read(5 * 4096 + 7, out), Err::kNone);
+  EXPECT_EQ(out, std::vector<uint8_t>(out.size(), 0));
+  EXPECT_EQ(mem.resident_frames(), 0u);  // reads materialise nothing
+}
+
+TEST(PhysicalMemory, WriteFreeAllocYieldsZeroedFrame) {
+  PhysicalMemory mem(1 << 16, 12);
+  auto frame = mem.AllocFrame(DomainId(1));
+  ASSERT_TRUE(frame.ok());
+  const std::vector<uint8_t> ones(4096, 1);
+  ASSERT_EQ(mem.Write(mem.FrameBase(*frame), ones), Err::kNone);
+  EXPECT_EQ(mem.resident_frames(), 1u);
+  ASSERT_EQ(mem.FreeFrame(*frame), Err::kNone);
+  auto again = mem.AllocFrame(DomainId(2));
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(*again, *frame);
+  EXPECT_EQ(mem.resident_frames(), 0u);  // zero-on-allocate drops the chunk
+  std::vector<uint8_t> out(4096, 0xFF);
+  ASSERT_EQ(mem.Read(mem.FrameBase(*again), out), Err::kNone);
+  EXPECT_EQ(out, std::vector<uint8_t>(4096, 0));
+  // Writing after the drop materialises a fresh, zeroed chunk.
+  mem.FrameData(*again)[0] = 7;
+  EXPECT_EQ(mem.resident_frames(), 1u);
+  ASSERT_EQ(mem.Read(mem.FrameBase(*again), out), Err::kNone);
+  std::vector<uint8_t> expect(4096, 0);
+  expect[0] = 7;
+  EXPECT_EQ(out, expect);
+}
+
+TEST(PhysicalMemory, ReadWriteSpanFrameBoundaryWithOneSideUntouched) {
+  PhysicalMemory mem(1 << 16, 12);
+  // Frame 1 written, frame 2 untouched: a read across the boundary.
+  const std::vector<uint8_t> ones(4096, 1);
+  ASSERT_EQ(mem.Write(4096, ones), Err::kNone);
+  std::vector<uint8_t> out(8);
+  ASSERT_EQ(mem.Read(2 * 4096 - 4, out), Err::kNone);
+  EXPECT_EQ(out, (std::vector<uint8_t>{1, 1, 1, 1, 0, 0, 0, 0}));
+  EXPECT_EQ(mem.resident_frames(), 1u);
+  // A write across the 2|3 boundary materialises both and lands intact.
+  const std::vector<uint8_t> in = {9, 8, 7, 6, 5, 4};
+  ASSERT_EQ(mem.Write(3 * 4096 - 3, in), Err::kNone);
+  EXPECT_EQ(mem.resident_frames(), 3u);
+  std::vector<uint8_t> back(6);
+  ASSERT_EQ(mem.Read(3 * 4096 - 3, back), Err::kNone);
+  EXPECT_EQ(back, in);
+  EXPECT_EQ(mem.FrameData(2)[4095], 7);
+  EXPECT_EQ(mem.FrameData(3)[0], 6);
+}
+
+TEST(PhysicalMemory, ConstFrameDataDoesNotMaterialise) {
+  PhysicalMemory mem(1 << 16, 12);
+  const PhysicalMemory& view = mem;
+  auto zeros = view.FrameData(4);
+  ASSERT_EQ(zeros.size(), 4096u);
+  EXPECT_TRUE(std::all_of(zeros.begin(), zeros.end(), [](uint8_t b) { return b == 0; }));
+  EXPECT_EQ(mem.resident_frames(), 0u);
+  mem.FrameData(4)[0] = 0x5A;  // the mutable view materialises
+  EXPECT_EQ(mem.resident_frames(), 1u);
+  EXPECT_EQ(view.FrameData(4)[0], 0x5A);
 }
 
 TEST(PageTable, MapLookupUnmap) {
