@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Builds the bench suite and runs the experiments that export machine-readable
-# results (E1 IPC ping-pong, E3 Dom0 CPU accounting, E4 crossing counts, E16
-# batched datapath, E17 tracing overhead, E18 TLB shootdown scaling, E19
-# crash-recovery latency + exactly-once ledger, E20 race-detection
-# overhead, E21 L4 fast-path IPC, E22 causal request tracing, E23 the
+# results (E1 IPC ping-pong, E3 Dom0 CPU accounting, E4 crossing counts, E11
+# lmbench-style OS operations, E16 batched datapath, E17 tracing overhead,
+# E18 TLB shootdown scaling, E19 crash-recovery latency + exactly-once
+# ledger, E20 race-detection overhead, E21 L4 fast-path IPC, E22 causal request tracing, E23 the
 # completed fast-path family), plus E8's per-layer line counts. Each bench
 # writes BENCH_<id>.json into $OUT alongside its human-readable tables on
 # stdout; E17/E20 split their host wall-clock columns into a separate
@@ -35,19 +35,20 @@ BUILD="${BUILD:-build}"
 
 cmake -B "${BUILD}" -S . >/dev/null
 cmake --build "${BUILD}" -j"${JOBS}" --target \
-  bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings bench_e16_batched_io \
-  bench_e17_trace_overhead bench_e18_shootdown bench_e19_recovery \
-  bench_e20_race_overhead bench_e21_ipc_fastpath bench_e22_reqtrace \
-  bench_e23_replywait bench_e8_tcb_size bench_simspeed
+  bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings bench_e11_osbench \
+  bench_e16_batched_io bench_e17_trace_overhead bench_e18_shootdown \
+  bench_e19_recovery bench_e20_race_overhead bench_e21_ipc_fastpath \
+  bench_e22_reqtrace bench_e23_replywait bench_e8_tcb_size bench_simspeed
 
 mkdir -p "${OUT}"
 export UKVM_BENCH_JSON="${OUT}"
 export UKVM_TRACE_DIR="${OUT}"
 
 for bench in bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings \
-             bench_e16_batched_io bench_e17_trace_overhead bench_e18_shootdown \
-             bench_e19_recovery bench_e20_race_overhead bench_e21_ipc_fastpath \
-             bench_e22_reqtrace bench_e23_replywait bench_e8_tcb_size; do
+             bench_e11_osbench bench_e16_batched_io bench_e17_trace_overhead \
+             bench_e18_shootdown bench_e19_recovery bench_e20_race_overhead \
+             bench_e21_ipc_fastpath bench_e22_reqtrace bench_e23_replywait \
+             bench_e8_tcb_size; do
   echo "== ${bench} =="
   "${BUILD}/bench/${bench}"
   echo

@@ -5,11 +5,6 @@
 
 namespace ukvm {
 
-void CpuAccounting::Charge(DomainId domain, uint64_t cycles) {
-  cycles_[domain] += cycles;
-  total_ += cycles;
-}
-
 void CpuAccounting::SetObserver(ChargeObserver* observer) {
   assert(bus_ != nullptr);
   bus_->Detach(observer_);  // a no-op for nullptr
@@ -19,9 +14,17 @@ void CpuAccounting::SetObserver(ChargeObserver* observer) {
   }
 }
 
+const CpuAccounting::Slot* CpuAccounting::FindSlot(DomainId domain) const {
+  const uint32_t v = domain.value();
+  if (v >= kReservedBase) {
+    return &reserved_[v - kReservedBase];
+  }
+  return v < dense_.size() ? &dense_[v] : nullptr;
+}
+
 uint64_t CpuAccounting::CyclesOf(DomainId domain) const {
-  auto it = cycles_.find(domain);
-  return it == cycles_.end() ? 0 : it->second;
+  const Slot* slot = FindSlot(domain);
+  return slot == nullptr ? 0 : slot->cycles;
 }
 
 double CpuAccounting::ShareOf(DomainId domain) const {
@@ -32,7 +35,11 @@ double CpuAccounting::ShareOf(DomainId domain) const {
 }
 
 std::vector<std::pair<DomainId, uint64_t>> CpuAccounting::ByDomain() const {
-  std::vector<std::pair<DomainId, uint64_t>> out(cycles_.begin(), cycles_.end());
+  std::vector<std::pair<DomainId, uint64_t>> out;
+  out.reserve(charged_.size());
+  for (const DomainId domain : charged_) {
+    out.emplace_back(domain, FindSlot(domain)->cycles);
+  }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.second != b.second ? a.second > b.second : a.first.value() < b.first.value();
   });
@@ -40,7 +47,9 @@ std::vector<std::pair<DomainId, uint64_t>> CpuAccounting::ByDomain() const {
 }
 
 void CpuAccounting::Reset() {
-  cycles_.clear();
+  dense_.clear();
+  reserved_.fill(Slot{});
+  charged_.clear();
   total_ = 0;
 }
 

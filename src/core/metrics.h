@@ -10,10 +10,10 @@
 #ifndef UKVM_SRC_CORE_METRICS_H_
 #define UKVM_SRC_CORE_METRICS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,7 +39,15 @@ class CpuAccounting {
   // the global table.
   explicit CpuAccounting(ObsBus* bus = nullptr) : bus_(bus) {}
 
-  void Charge(DomainId domain, uint64_t cycles);
+  void Charge(DomainId domain, uint64_t cycles) {
+    Slot& slot = SlotOf(domain);
+    if (!slot.charged) {
+      slot.charged = true;
+      charged_.push_back(domain);
+    }
+    slot.cycles += cycles;
+    total_ += cycles;
+  }
 
   // Subscribes `observer` to the bus's kCharge events in place of the one
   // set before (nullptr just detaches that one).
@@ -57,7 +65,29 @@ class CpuAccounting {
   void Reset();
 
  private:
-  std::unordered_map<DomainId, uint64_t> cycles_;
+  // Domain ids are minted densely from small counters, so they index a
+  // vector; the well-known ids at the top of the range (idle, hardware)
+  // get fixed slots.
+  static constexpr uint32_t kReservedBase = 0xfffffff0u;
+  struct Slot {
+    uint64_t cycles = 0;
+    bool charged = false;
+  };
+  Slot& SlotOf(DomainId domain) {
+    const uint32_t v = domain.value();
+    if (v >= kReservedBase) {
+      return reserved_[v - kReservedBase];
+    }
+    if (v >= dense_.size()) {
+      dense_.resize(uint64_t{v} + 1);
+    }
+    return dense_[v];
+  }
+  const Slot* FindSlot(DomainId domain) const;
+
+  std::vector<Slot> dense_;
+  std::array<Slot, 16> reserved_{};
+  std::vector<DomainId> charged_;  // every domain ever charged, even 0 cycles
   uint64_t total_ = 0;
   ObsBus* bus_ = nullptr;
   ChargeObserver* observer_ = nullptr;

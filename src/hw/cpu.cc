@@ -26,6 +26,7 @@ void Cpu::SwitchAddressSpace(PageTable* space) {
     return;
   }
   address_space_ = space;
+  machine_.NoteLoadedSpace(space);
   ++context_switches_;
   machine_.Charge(machine_.costs().address_space_switch);
   if (machine_.platform().tagged_tlb) {
@@ -44,6 +45,7 @@ void Cpu::SwitchAddressSpaceSmall(PageTable* space) {
     return;
   }
   address_space_ = space;
+  machine_.NoteLoadedSpace(space);
   // Entries of this space live at different linear addresses (its segment
   // base relocates them); the salt reproduces that distinctness.
   tlb_salt_ = TlbSaltOf(space);

@@ -29,6 +29,12 @@ Machine::Machine(Platform platform, uint64_t memory_bytes, uint32_t num_vcpus)
   trace_idle_ = names_.Intern("idle");
 }
 
+Machine::~Machine() {
+  for (const uint64_t salt_id : held_salts_) {
+    TlbSaltRegistry::DropHolder(salt_id);
+  }
+}
+
 void Machine::EnableTracing(const ukvm::TraceConfig& config) {
   tracer_.Enable(config);
   // The tracer lives in core and cannot see this layer's idle constant.

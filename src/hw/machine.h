@@ -11,6 +11,7 @@
 #ifndef UKVM_SRC_HW_MACHINE_H_
 #define UKVM_SRC_HW_MACHINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -45,6 +46,8 @@ inline constexpr uint64_t kCyclesPerUs = 2000;
 class Machine {
  public:
   Machine(Platform platform, uint64_t memory_bytes, uint32_t num_vcpus = 1);
+  // Drops the machine's holds on the TLB salts of the tables it ran.
+  ~Machine();
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -248,6 +251,19 @@ class Machine {
     }
   }
 
+  // A CPU of this machine switched to `space`: the machine holds the
+  // table's TLB salt until it is destroyed (see TlbSaltRegistry).
+  void NoteLoadedSpace(PageTable* space) {
+    if (space != nullptr && space->loaded_on() != this) {
+      space->set_loaded_on(this);
+      const uint64_t salt_id = space->tlb_salt() >> 32;
+      if (std::find(held_salts_.begin(), held_salts_.end(), salt_id) == held_salts_.end()) {
+        held_salts_.push_back(salt_id);
+        TlbSaltRegistry::AddHolder(salt_id);
+      }
+    }
+  }
+
   // Deterministic per-machine identity for shared objects (descriptor
   // rings) named in race-detector keys.
   uint64_t AllocRaceObjectId() { return next_race_object_id_++; }
@@ -313,6 +329,7 @@ class Machine {
   uint32_t trace_idle_ = 0;
   TrapHandler* trap_handler_ = nullptr;
   uint64_t next_race_object_id_ = 1;
+  std::vector<uint64_t> held_salts_;  // salt ids of the tables run here
 
   uint64_t now_ = 0;
   EventId next_event_id_ = 1;

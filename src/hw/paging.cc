@@ -40,6 +40,20 @@ void TlbSaltRegistry::Release(uint64_t salt_id) {
   s.released.insert(salt_id);
 }
 
+void TlbSaltRegistry::AddHolder(uint64_t salt_id) { ++state().holders[salt_id]; }
+
+void TlbSaltRegistry::DropHolder(uint64_t salt_id) {
+  State& s = state();
+  auto it = s.holders.find(salt_id);
+  if (it == s.holders.end() || --it->second > 0) {
+    return;
+  }
+  s.holders.erase(it);
+  if (s.retired.erase(salt_id) > 0) {
+    s.free.push_back(salt_id);
+  }
+}
+
 bool TlbSaltRegistry::IsQuarantined(uint64_t salt_id) {
   return state().retired.contains(salt_id);
 }

@@ -26,7 +26,10 @@ namespace hwsim {
 // table is destroyed (Retire) AND the machine's shootdown protocol reports
 // every vCPU acknowledged the space's death flush (Release). Until both
 // happen the id is quarantined, so a new table can never alias TLB keys
-// with entries of a dead space that some vCPU might still hold.
+// with entries of a dead space that some vCPU might still hold. A machine
+// that ran a table holds its id; when the last holder is destroyed, no TLB
+// can hold the id any more and a retired id is free again, so stacks torn
+// down without death shootdowns do not pile up quarantined ids.
 class TlbSaltRegistry {
  public:
   static uint64_t Acquire();
@@ -34,6 +37,10 @@ class TlbSaltRegistry {
   static void Retire(uint64_t salt_id);
   // Every vCPU acked the death shootdown for the space carrying `salt_id`.
   static void Release(uint64_t salt_id);
+  // A machine's CPUs ran a table carrying `salt_id` (once per machine).
+  static void AddHolder(uint64_t salt_id);
+  // That machine is destroyed, its TLBs with it.
+  static void DropHolder(uint64_t salt_id);
 
   // Retired without a completed death shootdown: not reusable.
   static bool IsQuarantined(uint64_t salt_id);
@@ -46,6 +53,7 @@ class TlbSaltRegistry {
     std::vector<uint64_t> free;
     std::unordered_set<uint64_t> retired;   // destroyed, awaiting Release
     std::unordered_set<uint64_t> released;  // acked, table still alive
+    std::unordered_map<uint64_t, uint32_t> holders;  // live machines per id
     uint64_t reuses = 0;
   };
   static State& state();
@@ -127,6 +135,11 @@ class PageTable {
   // this is the identity that cannot (used by the dead-space registry).
   uint64_t instance_id() const { return instance_id_; }
 
+  // The machine whose CPUs last ran this table (identity only, never
+  // dereferenced), so a machine records each table it runs once.
+  const void* loaded_on() const { return loaded_on_; }
+  void set_loaded_on(const void* machine) { loaded_on_ = machine; }
+
   Vaddr VpnOf(Vaddr va) const { return va >> page_shift_; }
   Vaddr PageBase(Vaddr va) const { return va & ~(page_size() - 1); }
   uint64_t page_size() const { return uint64_t{1} << page_shift_; }
@@ -146,6 +159,7 @@ class PageTable {
   uint32_t vaddr_bits_;
   uint64_t salt_id_ = 0;
   uint64_t instance_id_ = 0;
+  const void* loaded_on_ = nullptr;
   uint64_t mapped_pages_ = 0;
   std::unordered_map<uint64_t, std::unique_ptr<LeafTable>> directory_;
   std::function<void(AuditOp, Vaddr, const Pte&)> audit_hook_;

@@ -1,5 +1,6 @@
 #include "src/os/ports/ukernel_port.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <map>
@@ -45,8 +46,7 @@ class UkernelPort::IpcBlock : public BlockDevice {
     if (out.size() < uint64_t{count} * block_size_) {
       return Err::kInvalidArgument;
     }
-    const uint32_t max_blocks =
-        std::max<uint32_t>(1, port_.w_.srv_window_len / block_size_);
+    const uint32_t max_blocks = MaxBlocksPerRequest();
     uint32_t done = 0;
     while (done < count) {
       const uint32_t chunk = std::min(count - done, max_blocks);
@@ -86,8 +86,7 @@ class UkernelPort::IpcBlock : public BlockDevice {
     if (in.size() < uint64_t{count} * block_size_) {
       return Err::kInvalidArgument;
     }
-    const uint32_t max_blocks =
-        std::max<uint32_t>(1, port_.w_.srv_window_len / block_size_);
+    const uint32_t max_blocks = MaxBlocksPerRequest();
     uint32_t done = 0;
     while (done < count) {
       const uint32_t chunk = std::min(count - done, max_blocks);
@@ -190,6 +189,13 @@ class UkernelPort::IpcBlock : public BlockDevice {
     std::vector<uint8_t> payload;
     ukvm::ReqTraceRef trace;  // E22: the write request, live until resolved
   };
+  // The block server stages a request in one page, and the string window
+  // must hold it too.
+  uint32_t MaxBlocksPerRequest() const {
+    const uint64_t limit =
+        std::min<uint64_t>(port_.w_.srv_window_len, port_.machine_.memory().page_size());
+    return std::max<uint32_t>(1, static_cast<uint32_t>(limit / block_size_));
+  }
   void FetchInfo() const {
     if (info_fetched_) {
       return;

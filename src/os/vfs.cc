@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <optional>
+#include <type_traits>
+#include <utility>
 
 namespace minios {
 
@@ -15,7 +19,9 @@ struct Superblock {
   uint32_t block_size = 0;
   uint64_t capacity_blocks = 0;
   uint32_t inode_count = 0;
+  uint32_t reserved = 0;  // explicit padding: every byte written is defined
 };
+static_assert(std::has_unique_object_representations_v<Superblock>);
 
 }  // namespace
 
@@ -79,56 +85,105 @@ Err Vfs::Mount() {
   return Err::kNone;
 }
 
-Result<Vfs::Inode> Vfs::LoadInode(uint32_t idx) {
-  if (idx >= kInodeCount) {
-    return Err::kOutOfRange;
-  }
-  std::vector<uint8_t> block(dev_.block_size());
-  const uint32_t per = InodesPerBlock();
-  UKVM_TRY(ReadBlock(1 + idx / per, block));
+std::string_view Vfs::NameOf(const Inode& inode) {
+  // Bounded: a block overwritten from outside the filesystem need not
+  // hold a terminating NUL.
+  const char* end = std::find(std::begin(inode.name), std::end(inode.name), '\0');
+  return {inode.name, static_cast<size_t>(end - inode.name)};
+}
+
+Vfs::Inode Vfs::InodeAt(std::span<const uint8_t> table_block, uint32_t idx) const {
   Inode inode;
-  std::memcpy(&inode, block.data() + (idx % per) * kInodeSize, sizeof(Inode));
+  std::memcpy(&inode, table_block.data() + (idx % InodesPerBlock()) * kInodeSize, sizeof(Inode));
   return inode;
 }
 
-Err Vfs::StoreInode(uint32_t idx, const Inode& inode) {
+Result<Vfs::HeldInode> Vfs::LoadInode(uint32_t idx) {
   if (idx >= kInodeCount) {
     return Err::kOutOfRange;
   }
-  std::vector<uint8_t> block(dev_.block_size());
-  const uint32_t per = InodesPerBlock();
-  UKVM_TRY(ReadBlock(1 + idx / per, block));
-  std::memcpy(block.data() + (idx % per) * kInodeSize, &inode, sizeof(Inode));
-  return WriteBlock(1 + idx / per, block);
+  HeldInode held{idx, {}, std::vector<uint8_t>(dev_.block_size())};
+  UKVM_TRY(ReadBlock(1 + idx / InodesPerBlock(), held.table_block));
+  held.inode = InodeAt(held.table_block, idx);
+  if (held.inode.used && !SizeFits(held.inode)) {
+    return Err::kCorrupted;
+  }
+  return held;
 }
 
-Result<uint32_t> Vfs::AllocBlock() {
+Result<Vfs::HeldInode> Vfs::FindInode(std::string_view name) {
+  if (!mounted_) {
+    return Err::kInvalidArgument;
+  }
   std::vector<uint8_t> block(dev_.block_size());
-  for (uint32_t b = 0; b < BitmapBlocks(); ++b) {
+  for (uint32_t b = 0; b < InodeTableBlocks(); ++b) {
+    UKVM_TRY(ReadBlock(1 + b, block));
+    for (uint32_t idx = b * InodesPerBlock(); idx < TableEnd(b); ++idx) {
+      const Inode inode = InodeAt(block, idx);
+      if (inode.used && name == NameOf(inode)) {
+        if (!SizeFits(inode)) {
+          return Err::kCorrupted;
+        }
+        return HeldInode{idx, inode, std::move(block)};
+      }
+    }
+  }
+  return Err::kNotFound;
+}
+
+Err Vfs::StoreInode(HeldInode& held) {
+  std::memcpy(held.table_block.data() + (held.idx % InodesPerBlock()) * kInodeSize, &held.inode,
+              sizeof(Inode));
+  return WriteBlock(1 + held.idx / InodesPerBlock(), held.table_block);
+}
+
+Result<std::vector<uint32_t>> Vfs::AllocBlocks(uint64_t n) {
+  const uint64_t bits_per_block = uint64_t{dev_.block_size()} * 8;
+  std::vector<uint32_t> lbas;
+  // Bitmap blocks with newly set bits, written only once all n are found.
+  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> dirty;
+  std::vector<uint8_t> block(dev_.block_size());
+  for (uint32_t b = 0; b < BitmapBlocks() && lbas.size() < n; ++b) {
     UKVM_TRY(ReadBlock(BitmapStart() + b, block));
-    for (uint64_t bit = 0; bit < uint64_t{dev_.block_size()} * 8; ++bit) {
-      const uint64_t lba = uint64_t{b} * dev_.block_size() * 8 + bit;
+    const size_t found_before = lbas.size();
+    for (uint64_t bit = 0; bit < bits_per_block && lbas.size() < n; ++bit) {
+      const uint64_t lba = b * bits_per_block + bit;
       if (lba >= dev_.capacity_blocks()) {
         break;
       }
       if ((block[bit / 8] & (1u << (bit % 8))) == 0) {
         block[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
-        UKVM_TRY(WriteBlock(BitmapStart() + b, block));
-        return static_cast<uint32_t>(lba);
+        lbas.push_back(static_cast<uint32_t>(lba));
       }
     }
+    if (lbas.size() > found_before) {
+      dirty.emplace_back(b, block);
+    }
   }
-  return Err::kNoMemory;
+  if (lbas.size() < n) {
+    return Err::kNoMemory;
+  }
+  for (const auto& [b, bytes] : dirty) {
+    UKVM_TRY(WriteBlock(BitmapStart() + b, bytes));
+  }
+  return lbas;
 }
 
-Err Vfs::FreeBlock(uint32_t lba) {
+Err Vfs::FreeBlocks(std::span<const uint32_t> lbas) {
   const uint64_t bits_per_block = uint64_t{dev_.block_size()} * 8;
-  const uint32_t b = static_cast<uint32_t>(lba / bits_per_block);
-  const uint64_t bit = lba % bits_per_block;
+  std::vector<uint32_t> sorted(lbas.begin(), lbas.end());
+  std::sort(sorted.begin(), sorted.end());
   std::vector<uint8_t> block(dev_.block_size());
-  UKVM_TRY(ReadBlock(BitmapStart() + b, block));
-  block[bit / 8] &= static_cast<uint8_t>(~(1u << (bit % 8)));
-  return WriteBlock(BitmapStart() + b, block);
+  for (size_t i = 0; i < sorted.size();) {
+    const auto b = static_cast<uint32_t>(sorted[i] / bits_per_block);
+    UKVM_TRY(ReadBlock(BitmapStart() + b, block));
+    for (; i < sorted.size() && sorted[i] / bits_per_block == b; ++i) {
+      const uint64_t bit = sorted[i] % bits_per_block;
+      block[bit / 8] &= static_cast<uint8_t>(~(1u << (bit % 8)));
+    }
+    UKVM_TRY(WriteBlock(BitmapStart() + b, block));
+  }
+  return Err::kNone;
 }
 
 Result<uint32_t> Vfs::Create(std::string_view name) {
@@ -138,91 +193,109 @@ Result<uint32_t> Vfs::Create(std::string_view name) {
   if (name.empty() || name.size() > kMaxName) {
     return Err::kInvalidArgument;
   }
-  if (LookUp(name).ok()) {
-    return Err::kAlreadyExists;
-  }
-  for (uint32_t idx = 0; idx < kInodeCount; ++idx) {
-    auto inode = LoadInode(idx);
-    UKVM_TRY(inode);
-    if (!inode->used) {
-      Inode fresh;
-      fresh.used = 1;
-      std::memcpy(fresh.name, name.data(), name.size());
-      UKVM_TRY(StoreInode(idx, fresh));
-      return idx;
+  // One pass over the whole table: the name must be absent, and the first
+  // free inode, held with its block, takes it.
+  std::optional<HeldInode> slot;
+  std::vector<uint8_t> block(dev_.block_size());
+  for (uint32_t b = 0; b < InodeTableBlocks(); ++b) {
+    UKVM_TRY(ReadBlock(1 + b, block));
+    for (uint32_t idx = b * InodesPerBlock(); idx < TableEnd(b); ++idx) {
+      const Inode inode = InodeAt(block, idx);
+      if (inode.used && name == NameOf(inode)) {
+        return Err::kAlreadyExists;
+      }
+      if (!inode.used && !slot) {
+        slot = HeldInode{idx, {}, block};
+      }
     }
   }
-  return Err::kNoMemory;  // inode table full
+  if (!slot) {
+    return Err::kNoMemory;  // inode table full
+  }
+  slot->inode.used = 1;
+  std::memcpy(slot->inode.name, name.data(), name.size());
+  UKVM_TRY(StoreInode(*slot));
+  return slot->idx;
 }
 
 Result<uint32_t> Vfs::LookUp(std::string_view name) {
-  if (!mounted_) {
-    return Err::kInvalidArgument;
-  }
-  for (uint32_t idx = 0; idx < kInodeCount; ++idx) {
-    auto inode = LoadInode(idx);
-    UKVM_TRY(inode);
-    if (inode->used && name == inode->name) {
-      return idx;
-    }
-  }
-  return Err::kNotFound;
+  auto held = FindInode(name);
+  UKVM_TRY(held);
+  return held->idx;
 }
 
 Err Vfs::Unlink(std::string_view name) {
-  auto idx = LookUp(name);
-  UKVM_TRY(idx);
-  auto inode = LoadInode(*idx);
-  UKVM_TRY(inode);
-  const uint64_t used_blocks = (inode->size + dev_.block_size() - 1) / dev_.block_size();
-  for (uint64_t b = 0; b < used_blocks; ++b) {
-    UKVM_TRY(FreeBlock(inode->blocks[b]));
-  }
-  return StoreInode(*idx, Inode{});
+  auto held = FindInode(name);
+  UKVM_TRY(held);
+  const uint64_t used_blocks = (held->inode.size + dev_.block_size() - 1) / dev_.block_size();
+  UKVM_TRY(FreeBlocks(std::span<const uint32_t>(held->inode.blocks, used_blocks)));
+  held->inode = Inode{};
+  return StoreInode(*held);
 }
 
 Result<VfsStat> Vfs::Stat(uint32_t inode_idx) {
-  auto inode = LoadInode(inode_idx);
-  UKVM_TRY(inode);
-  if (!inode->used) {
+  auto held = LoadInode(inode_idx);
+  UKVM_TRY(held);
+  if (!held->inode.used) {
     return Err::kNotFound;
   }
   VfsStat stat;
-  stat.name = inode->name;
-  stat.size = inode->size;
+  stat.name = NameOf(held->inode);
+  stat.size = held->inode.size;
   stat.inode = inode_idx;
   return stat;
 }
 
+namespace {
+
+// The number of file blocks from `first` up to `last` whose lbas follow
+// blocks[first] one by one: one extent, moved in one device request.
+uint32_t ExtentLength(const uint32_t* blocks, uint32_t first, uint32_t last) {
+  uint32_t n = 1;
+  while (first + n <= last && blocks[first + n] == blocks[first] + n) {
+    ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
 Result<uint32_t> Vfs::ReadAt(uint32_t inode_idx, uint64_t offset, std::span<uint8_t> out) {
-  auto inode = LoadInode(inode_idx);
-  UKVM_TRY(inode);
-  if (!inode->used) {
+  auto held = LoadInode(inode_idx);
+  UKVM_TRY(held);
+  const Inode& inode = held->inode;
+  if (!inode.used) {
     return Err::kNotFound;
   }
-  if (offset >= inode->size) {
+  if (offset >= inode.size) {
     return uint32_t{0};
   }
   const uint32_t bs = dev_.block_size();
-  const auto want = static_cast<uint32_t>(std::min<uint64_t>(out.size(), inode->size - offset));
-  std::vector<uint8_t> block(bs);
-  uint32_t done = 0;
-  while (done < want) {
-    const uint64_t pos = offset + done;
-    const auto blk = static_cast<uint32_t>(pos / bs);
-    const auto off = static_cast<uint32_t>(pos % bs);
-    const uint32_t chunk = std::min(want - done, bs - off);
-    UKVM_TRY(ReadBlock(inode->blocks[blk], block));
-    std::memcpy(out.data() + done, block.data() + off, chunk);
-    done += chunk;
+  const auto want = static_cast<uint32_t>(std::min<uint64_t>(out.size(), inode.size - offset));
+  if (want == 0) {
+    return uint32_t{0};
+  }
+  const uint64_t end = offset + want;
+  const auto last = static_cast<uint32_t>((end - 1) / bs);
+  std::vector<uint8_t> extent;
+  for (auto blk = static_cast<uint32_t>(offset / bs); blk <= last;) {
+    const uint32_t n = ExtentLength(inode.blocks, blk, last);
+    extent.resize(uint64_t{n} * bs);
+    UKVM_TRY(dev_.Read(inode.blocks[blk], n, extent));
+    const uint64_t extent_start = uint64_t{blk} * bs;
+    const uint64_t from = std::max(offset, extent_start);
+    const uint64_t to = std::min(end, extent_start + extent.size());
+    std::memcpy(out.data() + (from - offset), extent.data() + (from - extent_start), to - from);
+    blk += n;
   }
   return want;
 }
 
 Result<uint32_t> Vfs::WriteAt(uint32_t inode_idx, uint64_t offset, std::span<const uint8_t> in) {
-  auto inode = LoadInode(inode_idx);
-  UKVM_TRY(inode);
-  if (!inode->used) {
+  auto held = LoadInode(inode_idx);
+  UKVM_TRY(held);
+  Inode& inode = held->inode;
+  if (!inode.used) {
     return Err::kNotFound;
   }
   if (offset + in.size() > MaxFileSize()) {
@@ -230,38 +303,57 @@ Result<uint32_t> Vfs::WriteAt(uint32_t inode_idx, uint64_t offset, std::span<con
   }
   const uint32_t bs = dev_.block_size();
   // Allocate any blocks the write will touch beyond the current allocation.
-  const uint64_t have_blocks = (inode->size + bs - 1) / bs;
+  const uint64_t have_blocks = (inode.size + bs - 1) / bs;
   const uint64_t need_blocks = (offset + in.size() + bs - 1) / bs;
-  for (uint64_t b = have_blocks; b < need_blocks; ++b) {
-    auto lba = AllocBlock();
-    UKVM_TRY(lba);
-    inode->blocks[b] = *lba;
+  if (need_blocks > have_blocks) {
+    auto fresh = AllocBlocks(need_blocks - have_blocks);
+    UKVM_TRY(fresh);
+    std::copy(fresh->begin(), fresh->end(), inode.blocks + have_blocks);
   }
-  std::vector<uint8_t> block(bs);
-  uint32_t done = 0;
-  while (done < in.size()) {
-    const uint64_t pos = offset + done;
-    const auto blk = static_cast<uint32_t>(pos / bs);
-    const auto off = static_cast<uint32_t>(pos % bs);
-    const uint32_t chunk = std::min(static_cast<uint32_t>(in.size() - done), bs - off);
-    if (off != 0 || chunk != bs) {
-      UKVM_TRY(ReadBlock(inode->blocks[blk], block));  // read-modify-write
+  const uint64_t end = offset + in.size();
+  std::vector<uint8_t> extent;
+  for (auto blk = static_cast<uint32_t>(offset / bs); !in.empty() && blk < need_blocks;) {
+    const uint32_t n = ExtentLength(inode.blocks, blk, static_cast<uint32_t>(need_blocks - 1));
+    extent.resize(uint64_t{n} * bs);
+    const uint64_t extent_start = uint64_t{blk} * bs;
+    const uint64_t extent_end = extent_start + extent.size();
+    // An edge block the write covers only in part keeps its other bytes:
+    // read-modify-write, in one request when both edges are in it.
+    const bool head = offset > extent_start;
+    const bool tail = end < extent_end;
+    if (head && tail && n <= 2) {
+      UKVM_TRY(dev_.Read(inode.blocks[blk], n, extent));
+    } else {
+      if (head) {
+        UKVM_TRY(dev_.Read(inode.blocks[blk], 1, std::span(extent).first(bs)));
+      }
+      if (tail) {
+        UKVM_TRY(dev_.Read(inode.blocks[blk + n - 1], 1, std::span(extent).last(bs)));
+      }
     }
-    std::memcpy(block.data() + off, in.data() + done, chunk);
-    UKVM_TRY(WriteBlock(inode->blocks[blk], block));
-    done += chunk;
+    const uint64_t from = std::max(offset, extent_start);
+    const uint64_t to = std::min(end, extent_end);
+    std::memcpy(extent.data() + (from - extent_start), in.data() + (from - offset), to - from);
+    UKVM_TRY(dev_.Write(inode.blocks[blk], n, extent));
+    blk += n;
   }
-  inode->size = std::max<uint64_t>(inode->size, offset + in.size());
-  UKVM_TRY(StoreInode(inode_idx, *inode));
+  inode.size = std::max<uint64_t>(inode.size, end);
+  UKVM_TRY(StoreInode(*held));
   return static_cast<uint32_t>(in.size());
 }
 
 std::vector<VfsStat> Vfs::List() {
   std::vector<VfsStat> out;
-  for (uint32_t idx = 0; idx < kInodeCount; ++idx) {
-    auto inode = LoadInode(idx);
-    if (inode.ok() && inode->used) {
-      out.push_back(VfsStat{inode->name, inode->size, idx});
+  std::vector<uint8_t> block(dev_.block_size());
+  for (uint32_t b = 0; b < InodeTableBlocks(); ++b) {
+    if (ReadBlock(1 + b, block) != Err::kNone) {
+      continue;
+    }
+    for (uint32_t idx = b * InodesPerBlock(); idx < TableEnd(b); ++idx) {
+      const Inode inode = InodeAt(block, idx);
+      if (inode.used) {
+        out.push_back(VfsStat{std::string(NameOf(inode)), inode.size, idx});
+      }
     }
   }
   return out;

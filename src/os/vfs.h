@@ -1,9 +1,15 @@
 // MiniFS: a small flat-namespace filesystem over a virtual block device.
 //
-// Deliberately cache-less: every file operation turns into block-device
-// traffic, which is the point — file workloads must exercise the storage
-// path of whichever stack MiniOS runs on (IPC to the block server, or
-// blkfront/blkback rings through Dom0/Parallax).
+// Cache-less across operations, minimum traffic within one: no block
+// survives from one file operation to the next, so every operation turns
+// into block-device traffic, which is the point — file workloads must
+// exercise the storage path of whichever stack MiniOS runs on (IPC to the
+// block server, or blkfront/blkback rings through Dom0/Parallax). Within
+// one operation MiniFS never reads a block twice and never splits a run
+// of consecutive blocks: a lookup reads each inode-table block once, an
+// allocation or free does one read-modify-write per bitmap block, data
+// moves in one request per contiguous extent, and an inode is written back
+// from the table block read at the start of the operation.
 //
 // On-disk layout (block_size B blocks):
 //   block 0                : superblock
@@ -14,10 +20,12 @@
 #ifndef UKVM_SRC_OS_VFS_H_
 #define UKVM_SRC_OS_VFS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/error.h"
@@ -64,13 +72,25 @@ class Vfs {
   uint64_t MaxFileSize() const { return uint64_t{kDirectBlocks} * dev_.block_size(); }
 
  private:
+  // The on-disk inode, copied byte for byte. The padding is explicit, so
+  // every byte written is a defined one.
   struct Inode {
     uint8_t used = 0;
     char name[kMaxName + 1] = {};
+    uint8_t pad[7] = {};
     uint64_t size = 0;
     uint32_t blocks[kDirectBlocks] = {};
   };
   static_assert(sizeof(Inode) <= kInodeSize);
+  static_assert(std::has_unique_object_representations_v<Inode>);
+
+  // An inode with the inode-table block it was read from, so an operation
+  // writes the inode back without reading the block again.
+  struct HeldInode {
+    uint32_t idx = 0;
+    Inode inode;
+    std::vector<uint8_t> table_block;
+  };
 
   uint32_t InodesPerBlock() const { return dev_.block_size() / kInodeSize; }
   uint32_t InodeTableBlocks() const {
@@ -90,11 +110,27 @@ class Vfs {
   ukvm::Err ReadBlock(uint64_t lba, std::span<uint8_t> out);
   ukvm::Err WriteBlock(uint64_t lba, std::span<const uint8_t> in);
 
-  ukvm::Result<Inode> LoadInode(uint32_t idx);
-  ukvm::Err StoreInode(uint32_t idx, const Inode& inode);
+  // Table block `b` holds inodes [b * InodesPerBlock(), TableEnd(b)).
+  uint32_t TableEnd(uint32_t b) const {
+    return std::min((b + 1) * InodesPerBlock(), kInodeCount);
+  }
+  Inode InodeAt(std::span<const uint8_t> table_block, uint32_t idx) const;
+  static std::string_view NameOf(const Inode& inode);
+  bool SizeFits(const Inode& inode) const { return inode.size <= MaxFileSize(); }
 
-  ukvm::Result<uint32_t> AllocBlock();
-  ukvm::Err FreeBlock(uint32_t lba);
+  // Both return kCorrupted for a used inode whose size (read from disk, and
+  // used to index `blocks`) does not fit its direct blocks.
+  ukvm::Result<HeldInode> LoadInode(uint32_t idx);
+  // The used inode named `name`; reads table blocks up to the one holding it.
+  ukvm::Result<HeldInode> FindInode(std::string_view name);
+  ukvm::Err StoreInode(HeldInode& held);
+
+  // Marks the `n` lowest free blocks used and returns them in ascending
+  // order, with one read-modify-write per bitmap block they lie in. All or
+  // nothing: kNoMemory, and no bitmap block written, if fewer are free.
+  ukvm::Result<std::vector<uint32_t>> AllocBlocks(uint64_t n);
+  // Clears the bits of `lbas`, one read-modify-write per bitmap block.
+  ukvm::Err FreeBlocks(std::span<const uint32_t> lbas);
 
   BlockDevice& dev_;
   bool mounted_ = false;

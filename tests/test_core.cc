@@ -5,6 +5,8 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/crossings.h"
 #include "src/core/error.h"
@@ -175,6 +177,26 @@ TEST(Metrics, CpuAccountingShares) {
   const auto by_domain = acct.ByDomain();
   ASSERT_EQ(by_domain.size(), 2u);
   EXPECT_EQ(by_domain[0].first, DomainId(1));  // sorted by cycles desc
+}
+
+TEST(Metrics, ByDomainListsEveryChargedDomain) {
+  // Dense ids, the well-known ids at the top of the range, and a charge of
+  // zero cycles all count as charged; Reset forgets them all.
+  CpuAccounting acct;
+  constexpr DomainId kIdle{0xfffffffdu};
+  acct.Charge(DomainId(7), 50);
+  acct.Charge(ukvm::kHardwareDomain, 50);
+  acct.Charge(kIdle, 20);
+  acct.Charge(DomainId(3), 0);
+  const std::vector<std::pair<DomainId, uint64_t>> want = {
+      {DomainId(7), 50}, {ukvm::kHardwareDomain, 50}, {kIdle, 20}, {DomainId(3), 0}};
+  EXPECT_EQ(acct.ByDomain(), want);
+  EXPECT_EQ(acct.CyclesOf(ukvm::kHardwareDomain), 50u);
+  EXPECT_EQ(acct.CyclesOf(DomainId(5)), 0u);
+  acct.Reset();
+  EXPECT_TRUE(acct.ByDomain().empty());
+  EXPECT_EQ(acct.CyclesOf(DomainId(7)), 0u);
+  EXPECT_EQ(acct.total_cycles(), 0u);
 }
 
 TEST(Metrics, EmptyAccountingShareIsZero) {

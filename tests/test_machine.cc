@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/hw/machine.h"
@@ -399,6 +400,29 @@ TEST(MultiVcpu, SaltQuarantinedWithoutDeathShootdown) {
   EXPECT_TRUE(TlbSaltRegistry::IsQuarantined(salt_id));
   PageTable next(12, 32);
   EXPECT_NE(next.tlb_salt() >> 32, salt_id);
+}
+
+TEST(MultiVcpu, MachineDeathFreesSaltsOfTablesItRan) {
+  // Stacks tear down without death shootdowns; once every machine that
+  // ran a dead table is gone, no TLB can hold its salt.
+  auto m1 = std::make_unique<Machine>(MakeX86Platform(), 1 << 20);
+  auto m2 = std::make_unique<Machine>(MakeX86Platform(), 1 << 20);
+  uint64_t salt_id = 0;
+  {
+    PageTable space(12, 32);
+    salt_id = space.tlb_salt() >> 32;
+    m1->cpu().SwitchAddressSpace(&space);
+    m2->cpu().SwitchAddressSpaceSmall(&space);
+    m1->cpu().SwitchAddressSpace(nullptr);
+    m2->cpu().SwitchAddressSpace(nullptr);
+  }
+  EXPECT_TRUE(TlbSaltRegistry::IsQuarantined(salt_id));
+  m1.reset();
+  EXPECT_TRUE(TlbSaltRegistry::IsQuarantined(salt_id));  // m2's TLB may hold it
+  const size_t quarantined = TlbSaltRegistry::quarantined_count();
+  m2.reset();
+  EXPECT_FALSE(TlbSaltRegistry::IsQuarantined(salt_id));
+  EXPECT_EQ(TlbSaltRegistry::quarantined_count(), quarantined - 1);
 }
 
 TEST(MultiVcpu, SpaceDeathShootdownIsIdempotent) {

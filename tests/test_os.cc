@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <ostream>
+#include <utility>
+#include <vector>
+
 #include "src/os/netstack.h"
 #include "src/os/vfs.h"
 #include "src/stacks/native_stack.h"
@@ -266,6 +272,265 @@ TEST(VfsGeometry, TooSmallCapacityIsInvalidArgument) {
   GeometryDevice dev(512, 19);
   Vfs vfs(dev);
   EXPECT_EQ(vfs.Format(), Err::kNone);
+}
+
+// --- VFS block traffic ---------------------------------------------------------------
+
+// A RAM-backed block device that logs every call, so a test can pin the
+// block traffic of each VFS operation and digest the resulting image.
+class RamDevice : public BlockDevice {
+ public:
+  struct Call {
+    bool write = false;
+    uint64_t lba = 0;
+    uint32_t count = 0;
+    bool operator==(const Call&) const = default;
+    friend std::ostream& operator<<(std::ostream& os, const Call& c) {
+      return os << (c.write ? "write(" : "read(") << c.lba << ", " << c.count << ")";
+    }
+  };
+
+  RamDevice(uint32_t block_size, uint64_t capacity_blocks)
+      : block_size_(block_size),
+        capacity_(capacity_blocks),
+        image_(static_cast<size_t>(block_size * capacity_blocks), 0) {}
+
+  uint32_t block_size() const override { return block_size_; }
+  uint64_t capacity_blocks() const override { return capacity_; }
+  Err Read(uint64_t lba, uint32_t count, std::span<uint8_t> out) override {
+    calls.push_back({false, lba, count});
+    if (lba + count > capacity_ || out.size() < uint64_t{count} * block_size_) {
+      return Err::kOutOfRange;
+    }
+    std::memcpy(out.data(), image_.data() + lba * block_size_, uint64_t{count} * block_size_);
+    return Err::kNone;
+  }
+  Err Write(uint64_t lba, uint32_t count, std::span<const uint8_t> in) override {
+    calls.push_back({true, lba, count});
+    if (lba + count > capacity_ || in.size() < uint64_t{count} * block_size_) {
+      return Err::kOutOfRange;
+    }
+    std::memcpy(image_.data() + lba * block_size_, in.data(), uint64_t{count} * block_size_);
+    return Err::kNone;
+  }
+
+  const std::vector<uint8_t>& image() const { return image_; }
+
+  std::vector<Call> calls;
+
+ private:
+  uint32_t block_size_;
+  uint64_t capacity_;
+  std::vector<uint8_t> image_;
+};
+
+// FNV-1a.
+uint64_t Fnv(std::span<const uint8_t> bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const uint8_t byte : bytes) {
+    h = (h ^ byte) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::vector<uint8_t> Pattern(size_t n, uint8_t seed) {
+  std::vector<uint8_t> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<uint8_t>(seed + i * 7 + i / 251);
+  }
+  return out;
+}
+
+// 512-byte blocks: superblock, 16 inode-table blocks (4 inodes each), then
+// one bitmap block while the device holds at most 4096 blocks.
+constexpr uint64_t kTableBlocks = 16;
+constexpr uint64_t kBitmapLba = 1 + kTableBlocks;
+constexpr uint64_t kDataLba = kBitmapLba + 1;
+
+TEST(VfsTraffic, CreateReadsEachInodeTableBlockOnce) {
+  RamDevice dev(512, 256);
+  Vfs vfs(dev);
+  ASSERT_EQ(vfs.Format(), Err::kNone);
+  dev.calls.clear();
+  auto idx = vfs.Create("first");
+  ASSERT_TRUE(idx.ok());
+  EXPECT_EQ(*idx, 0u);
+  std::vector<RamDevice::Call> want;
+  for (uint64_t b = 0; b < kTableBlocks; ++b) {
+    want.push_back({false, 1 + b, 1});
+  }
+  want.push_back({true, 1, 1});
+  EXPECT_EQ(dev.calls, want);
+
+  // A duplicate ends the pass at the block holding it, writing nothing.
+  dev.calls.clear();
+  EXPECT_EQ(vfs.Create("first").error(), Err::kAlreadyExists);
+  const std::vector<RamDevice::Call> want_dup = {{false, 1, 1}};
+  EXPECT_EQ(dev.calls, want_dup);
+}
+
+TEST(VfsTraffic, WriteOfEightKibIsOneDataRequest) {
+  RamDevice dev(512, 256);
+  Vfs vfs(dev);
+  ASSERT_EQ(vfs.Format(), Err::kNone);
+  auto idx = vfs.Create("eight");
+  ASSERT_TRUE(idx.ok());
+  const auto data = Pattern(8192, 3);
+  dev.calls.clear();
+  auto n = vfs.WriteAt(*idx, 0, data);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 8192u);
+  const std::vector<RamDevice::Call> want = {
+      {false, 1, 1},          // inode
+      {false, kBitmapLba, 1},  // bitmap read-modify-write
+      {true, kBitmapLba, 1},
+      {true, kDataLba, 16},  // the whole extent in one request
+      {true, 1, 1},          // inode, from the copy read above
+  };
+  EXPECT_EQ(dev.calls, want);
+
+  dev.calls.clear();
+  std::vector<uint8_t> back(8192);
+  n = vfs.ReadAt(*idx, 0, back);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(back, data);
+  const std::vector<RamDevice::Call> want_read = {{false, 1, 1}, {false, kDataLba, 16}};
+  EXPECT_EQ(dev.calls, want_read);
+}
+
+TEST(VfsTraffic, ReadIssuesOneRequestPerExtent) {
+  RamDevice dev(512, 256);
+  Vfs vfs(dev);
+  ASSERT_EQ(vfs.Format(), Err::kNone);
+  const uint32_t a = *vfs.Create("a");
+  const uint32_t b = *vfs.Create("b");
+  // Interleave allocations: a gets data blocks 0, 2, 3 and b gets block 1.
+  const auto first = Pattern(512, 1);
+  const auto rest = Pattern(1024, 2);
+  ASSERT_TRUE(vfs.WriteAt(a, 0, first).ok());
+  ASSERT_TRUE(vfs.WriteAt(b, 0, Pattern(512, 9)).ok());
+  ASSERT_TRUE(vfs.WriteAt(a, 512, rest).ok());
+
+  dev.calls.clear();
+  std::vector<uint8_t> back(1536);
+  auto n = vfs.ReadAt(a, 0, back);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 1536u);
+  EXPECT_TRUE(std::equal(first.begin(), first.end(), back.begin()));
+  EXPECT_TRUE(std::equal(rest.begin(), rest.end(), back.begin() + 512));
+  const std::vector<RamDevice::Call> want = {
+      {false, 1, 1}, {false, kDataLba, 1}, {false, kDataLba + 2, 2}};
+  EXPECT_EQ(dev.calls, want);
+
+  // A read that starts and ends mid-block still takes one request per extent.
+  dev.calls.clear();
+  std::vector<uint8_t> middle(700);
+  n = vfs.ReadAt(a, 300, middle);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 700u);
+  EXPECT_TRUE(std::equal(middle.begin(), middle.begin() + 212, first.begin() + 300));
+  EXPECT_TRUE(std::equal(middle.begin() + 212, middle.end(), rest.begin()));
+  const std::vector<RamDevice::Call> want_mid = {
+      {false, 1, 1}, {false, kDataLba, 1}, {false, kDataLba + 2, 1}};
+  EXPECT_EQ(dev.calls, want_mid);
+}
+
+TEST(VfsTraffic, FullDiskWriteFailsWithoutLeakingBlocks) {
+  // 40 data blocks: two 8 KiB files fit, a third 8 KiB write does not.
+  RamDevice dev(512, kDataLba + 40);
+  Vfs vfs(dev);
+  ASSERT_EQ(vfs.Format(), Err::kNone);
+  const auto data = Pattern(8192, 5);
+  for (const char* name : {"f0", "f1"}) {
+    const uint32_t idx = *vfs.Create(name);
+    ASSERT_TRUE(vfs.WriteAt(idx, 0, data).ok()) << name;
+  }
+  const uint32_t third = *vfs.Create("f2");
+  dev.calls.clear();
+  EXPECT_EQ(vfs.WriteAt(third, 0, data).error(), Err::kNoMemory);
+  for (const auto& call : dev.calls) {
+    EXPECT_FALSE(call.write) << "lba " << call.lba;
+  }
+  for (const char* name : {"f0", "f1", "f2"}) {
+    ASSERT_EQ(vfs.Unlink(name), Err::kNone) << name;
+  }
+
+  // Every data block is free again: 16 + 16 + 8 blocks fill the disk.
+  uint64_t written = 0;
+  for (const auto& [name, bytes] : {std::pair{"g0", 8192}, {"g1", 8192}, {"g2", 4096}}) {
+    const uint32_t idx = *vfs.Create(name);
+    auto n = vfs.WriteAt(idx, 0, std::span(data).first(static_cast<size_t>(bytes)));
+    ASSERT_TRUE(n.ok()) << name;
+    written += *n;
+  }
+  EXPECT_EQ(written, 40u * 512);
+  const uint32_t extra = *vfs.Create("g3");
+  EXPECT_EQ(vfs.WriteAt(extra, 0, std::span(data).first(1)).error(), Err::kNoMemory);
+}
+
+TEST(VfsNames, NameWithoutNulStaysInsideItsInode) {
+  // A block written from outside the filesystem can leave a name with no
+  // terminating NUL; reading it must stop at the name field.
+  RamDevice dev(512, 256);
+  Vfs vfs(dev);
+  ASSERT_EQ(vfs.Format(), Err::kNone);
+  std::vector<uint8_t> junk(512, 'B');
+  ASSERT_EQ(dev.Write(1, 1, junk), Err::kNone);
+  EXPECT_EQ(vfs.LookUp("B").error(), Err::kNotFound);
+  const auto list = vfs.List();
+  ASSERT_EQ(list.size(), 4u);  // every slot of the block now reads as used
+  for (const VfsStat& stat : list) {
+    EXPECT_EQ(stat.name, std::string(kMaxName + 1, 'B'));
+  }
+}
+
+TEST(VfsNames, OversizedInodeIsCorrupted) {
+  // A size read from disk indexes the direct blocks; one too large for them
+  // is refused rather than walked past the inode.
+  RamDevice dev(512, 256);
+  Vfs vfs(dev);
+  ASSERT_EQ(vfs.Format(), Err::kNone);
+  const uint32_t idx = *vfs.Create("big");
+  std::vector<uint8_t> block(512);
+  ASSERT_EQ(dev.Read(1, 1, block), Err::kNone);
+  std::fill(block.begin() + 40, block.begin() + 48, uint8_t{0xFF});  // inode 0's size
+  ASSERT_EQ(dev.Write(1, 1, block), Err::kNone);
+  std::vector<uint8_t> buf(16);
+  EXPECT_EQ(vfs.ReadAt(idx, 0, buf).error(), Err::kCorrupted);
+  EXPECT_EQ(vfs.WriteAt(idx, 0, buf).error(), Err::kCorrupted);
+  EXPECT_EQ(vfs.Unlink("big"), Err::kCorrupted);
+}
+
+TEST(VfsTraffic, ScriptLeavesTheRecordedImage) {
+  // The layout and bytes MiniFS writes are fixed: this script's image was
+  // recorded before block requests were coalesced and must never drift.
+  RamDevice dev(512, 256);
+  Vfs vfs(dev);
+  ASSERT_EQ(vfs.Format(), Err::kNone);
+  const uint32_t alpha = *vfs.Create("alpha");
+  ASSERT_TRUE(vfs.WriteAt(alpha, 0, Pattern(3000, 11)).ok());
+  const uint32_t beta = *vfs.Create("beta");
+  ASSERT_TRUE(vfs.WriteAt(beta, 0, Pattern(8192, 23)).ok());
+  const uint32_t gamma = *vfs.Create("gamma");
+  ASSERT_TRUE(vfs.WriteAt(gamma, 0, Pattern(700, 37)).ok());
+  // Overwrite across block edges and extend; overwrite inside one block.
+  ASSERT_TRUE(vfs.WriteAt(alpha, 1000, Pattern(2500, 41)).ok());
+  ASSERT_TRUE(vfs.WriteAt(beta, 100, Pattern(50, 53)).ok());
+  ASSERT_EQ(vfs.Unlink("gamma"), Err::kNone);
+  // Reuses gamma's inode and blocks; the partial first block keeps the
+  // stale bytes its read-modify-write found there.
+  const uint32_t delta = *vfs.Create("delta");
+  ASSERT_TRUE(vfs.WriteAt(delta, 300, Pattern(5000, 67)).ok());
+  ASSERT_EQ(vfs.Unlink("alpha"), Err::kNone);
+  const uint32_t epsilon = *vfs.Create("epsilon");
+  ASSERT_TRUE(vfs.WriteAt(epsilon, 0, Pattern(1024, 79)).ok());
+  ASSERT_TRUE(vfs.WriteAt(beta, 8000, Pattern(192, 83)).ok());
+  // Superblock bytes 20..23 are its tail padding. They used to be copied
+  // from an uninitialised stack object, so the digest was recorded with
+  // them read as zero; MiniFS now writes them as zero.
+  const std::vector<uint8_t>& image = dev.image();
+  EXPECT_TRUE(std::all_of(image.begin() + 20, image.begin() + 24, [](uint8_t b) { return b == 0; }));
+  EXPECT_EQ(Fnv(image), 0x32560768c3a12bd3ull);
 }
 
 // --- Cooperative multi-process scheduling --------------------------------------

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/stacks/native_stack.h"
 #include "src/stacks/ukernel_stack.h"
 #include "src/stacks/vmm_stack.h"
 #include "src/workloads/netio.h"
@@ -490,6 +491,37 @@ TEST(CrossStack, BothStacksCrossDomainsHeavily) {
   EXPECT_GT(vmm_crossings, 500u);
   EXPECT_LT(vmm_crossings, uk_crossings * 10);
   EXPECT_LT(uk_crossings, vmm_crossings * 10);
+}
+
+TEST(CrossStack, MultiPageBlockRequestRoundTrips) {
+  // 16 blocks of 512 B span two pages; each port must split the request
+  // into the one-page pieces its backend accepts.
+  auto round_trip = [](minios::BlockDevice& block) {
+    constexpr uint32_t kBlocks = 16;
+    const uint32_t bs = block.block_size();
+    ASSERT_EQ(bs, 512u);
+    const uint64_t lba = block.capacity_blocks() - 2 * kBlocks;
+    std::vector<uint8_t> data(uint64_t{kBlocks} * bs);
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<uint8_t>(i * 13 + i / 509);
+    }
+    ASSERT_EQ(block.Write(lba, kBlocks, data), Err::kNone);
+    std::vector<uint8_t> back(data.size());
+    ASSERT_EQ(block.Read(lba, kBlocks, back), Err::kNone);
+    EXPECT_EQ(back, data);
+  };
+  {
+    ustack::NativeStack stack;
+    round_trip(*stack.port().block());
+  }
+  {
+    ustack::UkernelStack stack;
+    round_trip(*stack.guest(0).port->block());
+  }
+  {
+    ustack::VmmStack stack;
+    round_trip(*stack.guest_port(0).block());
+  }
 }
 
 // --- Portability sweep (E6) ------------------------------------------------------------
