@@ -31,7 +31,6 @@
 #include <cstdio>
 #include <functional>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -69,21 +68,16 @@ hwsim::FaultPlan StormPlan() {
 }
 
 // One crash-recoverable storage stack under the bench: the three
-// architectures differ only in how the backend dies and comes back.
+// architectures differ only in how the backend dies and comes back. Block
+// I/O and the journal go through the guest's MiniOS block client.
 struct Target {
   hwsim::Machine* machine = nullptr;
   ucheck::Auditor* auditor = nullptr;
-  std::function<Err(uint64_t lba, std::span<const uint8_t>)> write;
-  std::function<Err(uint64_t lba, std::span<uint8_t>)> read;
+  minios::BlockClient* blk = nullptr;
+  ustack::XenbusConn* xenbus = nullptr;
+  const ustack::BlkRecoveryLog* log = nullptr;
   std::function<void()> kill;
   std::function<Err()> restart;
-  std::function<size_t()> journal_depth;
-  std::function<uint64_t()> applied_total;
-  std::function<uint64_t()> suppressed_total;
-  std::function<uint64_t()> acked_total;
-  std::function<uint64_t()> reconnects;
-  std::function<uint64_t()> replayed_total;
-  uint32_t block_size = 0;
 };
 
 struct PhaseStats {
@@ -116,8 +110,10 @@ struct RunResult {
 RunResult RunBurstsWithKills(Target& t) {
   RunResult r;
   hwsim::Machine& machine = *t.machine;
-  std::vector<uint8_t> block(t.block_size);
-  std::vector<uint8_t> back(t.block_size);
+  minios::BlockClient& blk = *t.blk;
+  const uint32_t bs = blk.block_size();
+  std::vector<uint8_t> block(bs);
+  std::vector<uint8_t> back(bs);
   // lba -> fill byte of the last acknowledged-or-journaled write: the
   // durable-eventually set. Journaled writes replay in id order before any
   // post-restart write, so last-writer-wins matches issue order.
@@ -139,13 +135,13 @@ RunResult RunBurstsWithKills(Target& t) {
         const uint64_t delay = (30 + 17 * static_cast<uint64_t>(cycle)) * hwsim::kCyclesPerUs;
         machine.ScheduleAfter(delay, [&t] { t.kill(); });
       }
-      const size_t depth_before = t.journal_depth();
-      const Err err = t.write(lba, block);
+      const size_t depth_before = blk.journal_depth();
+      const Err err = blk.Write(lba, 1, block);
       ++r.writes_attempted;
       if (err == Err::kNone) {
         ++r.writes_acked;
         model[lba] = fill;
-      } else if (t.journal_depth() > depth_before) {
+      } else if (blk.journal_depth() > depth_before) {
         ++r.writes_journaled;
         model[lba] = fill;
       }
@@ -165,20 +161,19 @@ RunResult RunBurstsWithKills(Target& t) {
 
   // Full read-back of the durable-eventually set.
   for (const auto& [lba, expect] : model) {
-    if (t.read(lba, back) != Err::kNone || back[0] != expect ||
-        back[t.block_size - 1] != expect) {
+    if (blk.Read(lba, 1, back) != Err::kNone || back[0] != expect || back[bs - 1] != expect) {
       r.data_intact = false;
       std::printf("FAIL: lba %llu read back %02x, expected %02x\n",
                   static_cast<unsigned long long>(lba), back[0], expect);
     }
   }
 
-  r.reconnects = t.reconnects();
-  r.replayed = t.replayed_total();
-  r.suppressed = t.suppressed_total();
-  r.applied = t.applied_total();
-  r.acked_ledger = t.acked_total();
-  r.journal_residue = t.journal_depth();
+  r.reconnects = t.xenbus->reconnects();
+  r.replayed = t.xenbus->replayed_total();
+  r.suppressed = t.log->suppressed_total();
+  r.applied = t.log->applied_total();
+  r.acked_ledger = blk.writes_acked_ok();
+  r.journal_residue = blk.journal_depth();
   r.dma_cancelled = machine.counters().Get("recovery.disk.dma_cancelled");
   r.faults_injected = machine.counters().Get("fault.nic.tx_drop") +
                       machine.counters().Get("fault.nic.corrupt") +
@@ -206,21 +201,14 @@ RunResult RunUkernel() {
   config.trace.enabled = true;
   ustack::UkernelStack stack(config);
   stack.ArmFaults(StormPlan());
-  auto* block = stack.guest(0).port->block();
   Target t;
   t.machine = &stack.machine();
   t.auditor = stack.auditor();
-  t.block_size = block->block_size();
-  t.write = [&](uint64_t lba, std::span<const uint8_t> in) { return block->Write(lba, 1, in); };
-  t.read = [&](uint64_t lba, std::span<uint8_t> out) { return block->Read(lba, 1, out); };
+  t.blk = &stack.guest_os(0).block();
+  t.xenbus = stack.guest(0).xenbus.get();
+  t.log = &stack.blk_recovery_log();
   t.kill = [&] { (void)stack.KillBlockServer(); };
   t.restart = [&] { return stack.RestartBlockServer(); };
-  t.journal_depth = [&] { return stack.guest(0).port->blk_journal_depth(); };
-  t.applied_total = [&] { return stack.blk_recovery_log().applied_total(); };
-  t.suppressed_total = [&] { return stack.blk_recovery_log().suppressed_total(); };
-  t.acked_total = [&] { return stack.guest(0).port->blk_writes_acked_ok(); };
-  t.reconnects = [&] { return stack.guest(0).xenbus->reconnects(); };
-  t.replayed_total = [&] { return stack.guest(0).xenbus->replayed_total(); };
   return RunBurstsWithKills(t);
 }
 
@@ -231,23 +219,16 @@ RunResult RunVmm(bool parallax) {
   config.trace.enabled = true;
   ustack::VmmStack stack(config);
   stack.ArmFaults(StormPlan());
-  auto& front = *stack.guest(0).blkfront;
   Target t;
   t.machine = &stack.machine();
   t.auditor = stack.auditor();
-  t.block_size = front.block_size();
-  t.write = [&](uint64_t lba, std::span<const uint8_t> in) { return front.Write(lba, 1, in); };
-  t.read = [&](uint64_t lba, std::span<uint8_t> out) { return front.Read(lba, 1, out); };
+  t.blk = &stack.guest_os(0).block();
+  t.xenbus = &stack.guest(0).blkfront->xenbus();
+  t.log = &stack.blk_recovery_log();
   // Parallax: whole-VM death (grant reclamation + kDomainDead upcalls).
   // Dom0-hosted: the driver crashes inside the surviving Dom0.
   t.kill = [&] { parallax ? (void)stack.KillStorage() : (void)stack.CrashStorageService(); };
   t.restart = [&] { return stack.RestartStorage(); };
-  t.journal_depth = [&] { return front.journal_depth(); };
-  t.applied_total = [&] { return stack.blk_recovery_log().applied_total(); };
-  t.suppressed_total = [&] { return stack.blk_recovery_log().suppressed_total(); };
-  t.acked_total = [&] { return front.writes_acked_ok(); };
-  t.reconnects = [&] { return front.xenbus().reconnects(); };
-  t.replayed_total = [&] { return front.xenbus().replayed_total(); };
   return RunBurstsWithKills(t);
 }
 

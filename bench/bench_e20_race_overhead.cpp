@@ -81,13 +81,14 @@ RunResult RunVmmBlkTraffic(bool race) {
   const auto t0 = std::chrono::steady_clock::now();
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   std::vector<uint8_t> block(front.block_size(), 0x5A);
   std::vector<uint8_t> back(front.block_size(), 0);
   for (uint64_t lba = 0; lba < 32; ++lba) {
-    (void)front.Write(lba, 1, block);
+    (void)blk.Write(lba, 1, block);
   }
   for (uint64_t lba = 0; lba < 32; ++lba) {
-    (void)front.Read(lba, 1, back);
+    (void)blk.Read(lba, 1, back);
   }
   stack.machine().RunUntilIdle();
   RunResult r;

@@ -128,6 +128,7 @@ ShapeResult RunRecoveryKill(bool rtrace) {
   config.crash_recovery = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   std::vector<uint8_t> block(front.block_size(), 0);
   for (int i = 0; i < 16; ++i) {
     block.assign(block.size(), static_cast<uint8_t>(i + 1));
@@ -137,7 +138,7 @@ ShapeResult RunRecoveryKill(bool rtrace) {
       stack.machine().ScheduleAfter(30 * hwsim::kCyclesPerUs,
                                     [&stack] { (void)stack.KillStorage(); });
     }
-    (void)front.Write(static_cast<uint64_t>(i) % 8, 1, block);
+    (void)blk.Write(static_cast<uint64_t>(i) % 8, 1, block);
     if (i == 11) {
       stack.machine().RunUntilIdle();
       if (stack.RestartStorage() != Err::kNone) {

@@ -50,7 +50,8 @@ const char* SysName(Sys nr) {
 
 Os::Os(hwsim::Machine& machine, ArchPort& port, std::string name)
     : machine_(machine), port_(port), name_(std::move(name)) {
-  vfs_ = std::make_unique<Vfs>(*port_.block());
+  block_ = std::make_unique<BlockClient>(machine_, *port_.block());
+  vfs_ = std::make_unique<Vfs>(*block_);
   net_ = std::make_unique<NetStack>(*port_.net());
 }
 

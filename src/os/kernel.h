@@ -26,6 +26,7 @@
 #include "src/core/ids.h"
 #include "src/hw/machine.h"
 #include "src/os/arch_if.h"
+#include "src/os/block_client.h"
 #include "src/os/netstack.h"
 #include "src/os/process.h"
 #include "src/os/syscall.h"
@@ -50,6 +51,8 @@ class Os {
 
   const std::string& name() const { return name_; }
   ArchPort& port() { return port_; }
+  // The block client over the port's block primitive; MiniFS's device.
+  BlockClient& block() { return *block_; }
   Vfs& vfs() { return *vfs_; }
   NetStack& net() { return *net_; }
 
@@ -110,6 +113,7 @@ class Os {
   hwsim::Machine& machine_;
   ArchPort& port_;
   std::string name_;
+  std::unique_ptr<BlockClient> block_;
   std::unique_ptr<Vfs> vfs_;
   std::unique_ptr<NetStack> net_;
 

@@ -45,91 +45,51 @@ class NativePort::NativeNet : public NetDevice {
   RecvHandler handler_;
 };
 
-class NativePort::NativeBlock : public BlockDevice {
+class NativePort::NativeBlock : public BlockPort {
  public:
   NativeBlock(NativePort& port, hwsim::Frame staging)
       : port_(port), staging_(staging) {}
 
   uint32_t block_size() const override { return port_.disk_.config().block_size; }
   uint64_t capacity_blocks() const override { return port_.disk_.config().capacity_blocks; }
+  uint32_t max_blocks() const override { return port_.disk_driver_.blocks_per_page(); }
+  ukvm::DomainId domain() const override { return port_.os_domain_; }
+  Err Ready() override { return Err::kNone; }
 
-  Err Read(uint64_t lba, uint32_t count, std::span<uint8_t> out) override {
-    const uint32_t bs = block_size();
-    if (out.size() < uint64_t{count} * bs) {
-      return Err::kInvalidArgument;
+  BlockCompletion Submit(const BlockRequest& req) override {
+    hwsim::Machine& machine = port_.machine_;
+    const hwsim::Paddr staging = machine.memory().FrameBase(staging_);
+    if (req.write) {
+      machine.memory().Write(staging, req.in);
+      machine.ChargeCopy(req.in.size());
     }
-    uint32_t done = 0;
-    while (done < count) {
-      const uint32_t chunk = std::min(count - done, port_.disk_driver_.blocks_per_page());
-      // One traced request per chunk; the DMA wait is its device leaf.
-      ukvm::ReqOriginScope req_scope(port_.machine_.reqtrace(), port_.req_read_name_,
-                                     port_.os_domain_);
-      bool finished = false;
-      Err status = Err::kNone;
-      const uint64_t submit_t0 = port_.machine_.Now();
-      Err err = port_.disk_driver_.Read(lba + done, chunk, staging_, [&](Err s) {
-        status = s;
-        finished = true;
-      });
-      if (err == Err::kNone) {
-        err = port_.machine_.WaitUntil([&] { return finished; }, 1'000'000'000);
-      }
-      port_.machine_.reqtrace().AddLeaf(port_.req_dev_name_, ukvm::ReqNodeKind::kDevice,
-                                        port_.os_domain_, submit_t0, port_.machine_.Now());
-      if (err == Err::kNone && status != Err::kNone) {
-        err = status;
-      }
-      if (err != Err::kNone) {
-        port_.machine_.reqtrace().AbandonRequest(req_scope.ref());
-        return err;
-      }
-      const uint64_t bytes = uint64_t{chunk} * bs;
-      port_.machine_.memory().Read(port_.machine_.memory().FrameBase(staging_),
-                                   out.subspan(uint64_t{done} * bs, bytes));
-      port_.machine_.ChargeCopy(bytes);
-      port_.machine_.reqtrace().EndRequest(req_scope.ref());
-      done += chunk;
+    bool finished = false;
+    Err status = Err::kNone;
+    auto on_done = [&](Err s) {
+      status = s;
+      finished = true;
+    };
+    // The DMA wait is the request's device leaf.
+    const uint64_t submit_t0 = machine.Now();
+    Err err = req.write ? port_.disk_driver_.Write(req.lba, req.count, staging_, on_done)
+                        : port_.disk_driver_.Read(req.lba, req.count, staging_, on_done);
+    if (err == Err::kNone) {
+      err = machine.WaitUntil([&] { return finished; }, 1'000'000'000);
     }
-    return Err::kNone;
-  }
-
-  Err Write(uint64_t lba, uint32_t count, std::span<const uint8_t> in) override {
-    const uint32_t bs = block_size();
-    if (in.size() < uint64_t{count} * bs) {
-      return Err::kInvalidArgument;
+    machine.reqtrace().AddLeaf(port_.req_dev_name_, ukvm::ReqNodeKind::kDevice,
+                               port_.os_domain_, submit_t0, machine.Now());
+    if (err == Err::kNone) {
+      err = status;
     }
-    uint32_t done = 0;
-    while (done < count) {
-      const uint32_t chunk = std::min(count - done, port_.disk_driver_.blocks_per_page());
-      const uint64_t bytes = uint64_t{chunk} * bs;
-      ukvm::ReqOriginScope req_scope(port_.machine_.reqtrace(), port_.req_write_name_,
-                                     port_.os_domain_);
-      port_.machine_.memory().Write(port_.machine_.memory().FrameBase(staging_),
-                                    in.subspan(uint64_t{done} * bs, bytes));
-      port_.machine_.ChargeCopy(bytes);
-      bool finished = false;
-      Err status = Err::kNone;
-      const uint64_t submit_t0 = port_.machine_.Now();
-      Err err = port_.disk_driver_.Write(lba + done, chunk, staging_, [&](Err s) {
-        status = s;
-        finished = true;
-      });
-      if (err == Err::kNone) {
-        err = port_.machine_.WaitUntil([&] { return finished; }, 1'000'000'000);
-      }
-      port_.machine_.reqtrace().AddLeaf(port_.req_dev_name_, ukvm::ReqNodeKind::kDevice,
-                                        port_.os_domain_, submit_t0, port_.machine_.Now());
-      if (err == Err::kNone && status != Err::kNone) {
-        err = status;
-      }
-      if (err != Err::kNone) {
-        port_.machine_.reqtrace().AbandonRequest(req_scope.ref());
-        return err;
-      }
-      port_.machine_.reqtrace().EndRequest(req_scope.ref());
-      done += chunk;
+    if (err == Err::kNone && !req.write) {
+      machine.memory().Read(staging, req.out);
+      machine.ChargeCopy(req.out.size());
     }
-    return Err::kNone;
+    BlockCompletion done{err, /*answered=*/true};
+    if (req.on_answer) {
+      req.on_answer(done);
+    }
+    return done;
   }
 
  private:
@@ -165,8 +125,6 @@ NativePort::NativePort(hwsim::Machine& machine, hwsim::Nic& nic, hwsim::Disk& di
   ukvm::NameTable& names = machine_.names();
   req_syscall_name_ = names.Intern("os.syscall");
   req_tx_name_ = names.Intern("net.tx");
-  req_read_name_ = names.Intern("blk.read");
-  req_write_name_ = names.Intern("blk.write");
   req_dev_name_ = names.Intern("disk.io");
   net_dev_ = std::make_unique<NativeNet>(*this);
   block_dev_ = std::make_unique<NativeBlock>(*this, pool.back());
@@ -177,7 +135,7 @@ NativePort::NativePort(hwsim::Machine& machine, hwsim::Nic& nic, hwsim::Disk& di
 }
 
 NetDevice* NativePort::net() { return net_dev_.get(); }
-BlockDevice* NativePort::block() { return block_dev_.get(); }
+BlockPort* NativePort::block() { return block_dev_.get(); }
 ConsoleDevice* NativePort::console() { return console_dev_.get(); }
 
 NativePort::~NativePort() {

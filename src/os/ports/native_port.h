@@ -35,7 +35,7 @@ class NativePort : public ArchPort, public hwsim::TrapHandler {
   const char* name() const override { return "native"; }
   SyscallRet InvokeSyscall(Os& os, ukvm::ProcessId pid, SyscallReq& req) override;
   NetDevice* net() override;
-  BlockDevice* block() override;
+  BlockPort* block() override;
   ConsoleDevice* console() override;
 
   // --- hwsim::TrapHandler --------------------------------------------------------
@@ -62,8 +62,6 @@ class NativePort : public ArchPort, public hwsim::TrapHandler {
   // E22 interned request-trace names.
   uint32_t req_syscall_name_ = 0;  // "os.syscall" origin
   uint32_t req_tx_name_ = 0;       // "net.tx" origin
-  uint32_t req_read_name_ = 0;     // "blk.read" origin
-  uint32_t req_write_name_ = 0;    // "blk.write" origin
   uint32_t req_dev_name_ = 0;      // "disk.io" device leaf
 
   std::unique_ptr<NativeNet> net_dev_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <map>
 
 #include "src/core/log.h"
 #include "src/os/kernel.h"
@@ -17,17 +16,12 @@ using ukvm::ThreadId;
 
 // --- Device adaptors -----------------------------------------------------------
 
-// Block device backed by IPC to the user-level block server. Calls are made
+// Block port backed by IPC to the user-level block server. Calls are made
 // from the OS server's thread (nested IPC, as L4Linux calls its driver
 // servers).
-class UkernelPort::IpcBlock : public BlockDevice {
+class UkernelPort::IpcBlock : public BlockPort {
  public:
-  explicit IpcBlock(UkernelPort& port) : port_(port) {
-    ukvm::NameTable& names = port_.machine_.names();
-    req_read_name_ = names.Intern("blk.read");
-    req_write_name_ = names.Intern("blk.write");
-    req_replay_name_ = names.Intern("recovery.replay");
-  }
+  explicit IpcBlock(UkernelPort& port) : port_(port) {}
 
   uint32_t block_size() const override {
     FetchInfo();
@@ -37,165 +31,53 @@ class UkernelPort::IpcBlock : public BlockDevice {
     FetchInfo();
     return capacity_;
   }
-
-  Err Read(uint64_t lba, uint32_t count, std::span<uint8_t> out) override {
-    FetchInfo();
-    if (block_size_ == 0) {
-      return Err::kDead;
-    }
-    if (out.size() < uint64_t{count} * block_size_) {
-      return Err::kInvalidArgument;
-    }
-    const uint32_t max_blocks = MaxBlocksPerRequest();
-    uint32_t done = 0;
-    while (done < count) {
-      const uint32_t chunk = std::min(count - done, max_blocks);
-      // One traced request per chunk; the kernel's string copy back into
-      // the reply attributes to it via the ambient scope (the IPC handler
-      // runs synchronously inside Call).
-      auto& rt = port_.machine_.reqtrace();
-      ukvm::ReqOriginScope req_scope(rt, req_read_name_,
-                                     port_.machine_.cpu().current_domain());
-      IpcMessage msg = IpcMessage::Short(kBlkReadLabel, lba + done, chunk);
-      IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server, msg);
-      if (reply.status != Err::kNone) {
-        rt.AbandonRequest(req_scope.ref());
-        return reply.status;
-      }
-      if (static_cast<int64_t>(reply.regs[0]) < 0) {
-        rt.AbandonRequest(req_scope.ref());
-        return ErrOf(static_cast<SyscallRet>(reply.regs[0]));
-      }
-      const uint64_t bytes = uint64_t{chunk} * block_size_;
-      if (reply.string_data.size() < bytes) {
-        rt.AbandonRequest(req_scope.ref());
-        return Err::kFault;
-      }
-      std::memcpy(out.data() + uint64_t{done} * block_size_, reply.string_data.data(), bytes);
-      rt.EndRequest(req_scope.ref());
-      done += chunk;
-    }
-    return Err::kNone;
-  }
-
-  Err Write(uint64_t lba, uint32_t count, std::span<const uint8_t> in) override {
-    FetchInfo();
-    if (block_size_ == 0) {
-      return Err::kDead;
-    }
-    if (in.size() < uint64_t{count} * block_size_) {
-      return Err::kInvalidArgument;
-    }
-    const uint32_t max_blocks = MaxBlocksPerRequest();
-    uint32_t done = 0;
-    while (done < count) {
-      const uint32_t chunk = std::min(count - done, max_blocks);
-      const uint64_t bytes = uint64_t{chunk} * block_size_;
-      const auto payload = in.subspan(uint64_t{done} * block_size_, bytes);
-      auto& rt = port_.machine_.reqtrace();
-      ukvm::ReqOriginScope req_scope(rt, req_write_name_,
-                                     port_.machine_.cpu().current_domain());
-      port_.PokeWindow(port_.w_.os_thread, port_.w_.srv_window, payload);
-      IpcMessage msg;
-      uint64_t id = 0;
-      if (crash_recovery_) {
-        // Journal before submitting; the entry lives until the server
-        // genuinely answers (any status), so a mid-call server death
-        // leaves it behind for ReplayJournal.
-        id = next_id_++;
-        journal_.emplace(id, JournalEntry{lba + done, chunk,
-                                          std::vector<uint8_t>(payload.begin(), payload.end()),
-                                          req_scope.ref()});
-        msg = IpcMessage::Short(kBlkWriteLabel, lba + done, chunk, id);
-      } else {
-        msg = IpcMessage::Short(kBlkWriteLabel, lba + done, chunk);
-      }
-      msg.has_string = true;
-      msg.string = ukern::StringItem{port_.w_.srv_window, static_cast<uint32_t>(bytes)};
-      IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server, msg);
-      const bool answered =
-          reply.status != Err::kDead && reply.status != Err::kBadHandle;
-      if (id != 0 && answered) {
-        // The server answered (success or error): the write's fate is
-        // known, so the journal entry is resolved.
-        journal_.erase(id);
-        if (reply.status == Err::kNone && static_cast<int64_t>(reply.regs[0]) >= 0) {
-          ++writes_acked_ok_;
-        }
-      }
-      const bool ok = reply.status == Err::kNone && static_cast<int64_t>(reply.regs[0]) >= 0;
-      if (ok) {
-        rt.EndRequest(req_scope.ref());
-      } else if (answered || id == 0) {
-        rt.AbandonRequest(req_scope.ref());
-      }
-      // Unanswered journaled writes stay live for ReplayJournal.
-      if (reply.status != Err::kNone) {
-        return reply.status;
-      }
-      if (static_cast<int64_t>(reply.regs[0]) < 0) {
-        return ErrOf(static_cast<SyscallRet>(reply.regs[0]));
-      }
-      done += chunk;
-    }
-    return Err::kNone;
-  }
-
-  // --- Crash recovery (E19) ---------------------------------------------------
-
-  void SetCrashRecovery(bool on) { crash_recovery_ = on; }
-
-  uint64_t ReplayJournal() {
-    uint64_t replayed = 0;
-    auto it = journal_.begin();
-    while (it != journal_.end()) {  // id order: writes land in submit order
-      const uint64_t id = it->first;
-      const JournalEntry& entry = it->second;
-      // The replay re-issues the original request on its own DAG; handoffs
-      // that died with the old server are forgiven, and the whole replay
-      // call becomes a recovery leaf on the request's critical path.
-      auto& rt = port_.machine_.reqtrace();
-      rt.ForgiveHandoffs(entry.trace);
-      ukvm::ReqAdoptScope req_scope(rt, entry.trace);
-      const uint64_t replay_t0 = port_.machine_.Now();
-      port_.PokeWindow(port_.w_.os_thread, port_.w_.srv_window, entry.payload);
-      IpcMessage msg = IpcMessage::Short(kBlkWriteLabel, entry.lba, entry.count, id);
-      msg.has_string = true;
-      msg.string =
-          ukern::StringItem{port_.w_.srv_window, static_cast<uint32_t>(entry.payload.size())};
-      IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server, msg);
-      if (reply.status == Err::kDead || reply.status == Err::kBadHandle) {
-        break;  // the replacement died too; keep the rest for the next round
-      }
-      rt.AddLeafTo(entry.trace, req_replay_name_, ukvm::ReqNodeKind::kRecovery,
-                   port_.machine_.cpu().current_domain(), replay_t0, port_.machine_.Now());
-      rt.EndRequest(entry.trace);
-      if (reply.status == Err::kNone && static_cast<int64_t>(reply.regs[0]) >= 0) {
-        ++writes_acked_ok_;
-      }
-      it = journal_.erase(it);
-      ++replayed;
-    }
-    return replayed;
-  }
-
-  uint64_t writes_acked_ok() const { return writes_acked_ok_; }
-  size_t journal_depth() const { return journal_.size(); }
-
- private:
-  struct JournalEntry {
-    uint64_t lba = 0;
-    uint32_t count = 0;
-    std::vector<uint8_t> payload;
-    ukvm::ReqTraceRef trace;  // E22: the write request, live until resolved
-  };
   // The block server stages a request in one page, and the string window
   // must hold it too.
-  uint32_t MaxBlocksPerRequest() const {
+  uint32_t max_blocks() const override {
     const uint64_t limit =
         std::min<uint64_t>(port_.w_.srv_window_len, port_.machine_.memory().page_size());
     return std::max<uint32_t>(1, static_cast<uint32_t>(limit / block_size_));
   }
+  ukvm::DomainId domain() const override { return port_.machine_.cpu().current_domain(); }
+  Err Ready() override { return block_size_ == 0 ? Err::kDead : Err::kNone; }
+
+  BlockCompletion Submit(const BlockRequest& req) override {
+    IpcMessage msg;
+    if (req.write) {
+      port_.PokeWindow(port_.w_.os_thread, port_.w_.srv_window, req.in);
+      // Only a journaled write carries its id (regs[3]): the server's
+      // recovery log answers a replayed duplicate from the log.
+      msg = req.journaled ? IpcMessage::Short(kBlkWriteLabel, req.lba, req.count, req.id)
+                          : IpcMessage::Short(kBlkWriteLabel, req.lba, req.count);
+      msg.has_string = true;
+      msg.string = ukern::StringItem{port_.w_.srv_window, static_cast<uint32_t>(req.in.size())};
+    } else {
+      msg = IpcMessage::Short(kBlkReadLabel, req.lba, req.count);
+    }
+    // The kernel's string copies attribute to the ambient request: the
+    // server's handler runs synchronously inside Call.
+    IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server, msg);
+    // A kernel-level kDead/kBadHandle means the server task was destroyed
+    // under the call; any other reply is the server's answer.
+    BlockCompletion done{reply.status,
+                         reply.status != Err::kDead && reply.status != Err::kBadHandle};
+    if (done.status == Err::kNone && static_cast<int64_t>(reply.regs[0]) < 0) {
+      done.status = ErrOf(static_cast<SyscallRet>(reply.regs[0]));
+    }
+    if (done.status == Err::kNone && !req.write) {
+      if (reply.string_data.size() < req.out.size()) {
+        done.status = Err::kFault;
+      } else {
+        std::memcpy(req.out.data(), reply.string_data.data(), req.out.size());
+      }
+    }
+    if (req.on_answer && done.answered) {
+      req.on_answer(done);
+    }
+    return done;
+  }
+
+ private:
   void FetchInfo() const {
     if (info_fetched_) {
       return;
@@ -213,14 +95,6 @@ class UkernelPort::IpcBlock : public BlockDevice {
   mutable bool info_fetched_ = false;
   mutable uint32_t block_size_ = 0;
   mutable uint64_t capacity_ = 0;
-  bool crash_recovery_ = false;
-  uint64_t next_id_ = 1;  // monotonic across restarts — replay reuses ids
-  std::map<uint64_t, JournalEntry> journal_;  // unacked writes, in id order
-  uint64_t writes_acked_ok_ = 0;
-  // E22 interned request-trace names.
-  uint32_t req_read_name_ = 0;
-  uint32_t req_write_name_ = 0;
-  uint32_t req_replay_name_ = 0;
 };
 
 // Network device backed by IPC to the user-level net driver server.
@@ -308,15 +182,10 @@ UkernelPort::UkernelPort(hwsim::Machine& machine, UkernelPortWiring wiring)
 UkernelPort::~UkernelPort() = default;
 
 NetDevice* UkernelPort::net() { return net_dev_.get(); }
-BlockDevice* UkernelPort::block() { return block_dev_.get(); }
+BlockPort* UkernelPort::block() { return block_dev_.get(); }
 ConsoleDevice* UkernelPort::console() { return console_dev_.get(); }
 
 void UkernelPort::SetBlockServer(ThreadId server) { w_.blk_server = server; }
-
-void UkernelPort::SetCrashRecovery(bool on) { block_dev_->SetCrashRecovery(on); }
-uint64_t UkernelPort::ReplayBlockJournal() { return block_dev_->ReplayJournal(); }
-uint64_t UkernelPort::blk_writes_acked_ok() const { return block_dev_->writes_acked_ok(); }
-size_t UkernelPort::blk_journal_depth() const { return block_dev_->journal_depth(); }
 
 void UkernelPort::SetNetServer(ThreadId server) {
   w_.net_server = server;

@@ -52,7 +52,7 @@ class UkernelPort : public ArchPort {
   const char* name() const override { return "ukernel"; }
   SyscallRet InvokeSyscall(Os& os, ukvm::ProcessId pid, SyscallReq& req) override;
   NetDevice* net() override;
-  BlockDevice* block() override;
+  BlockPort* block() override;
   ConsoleDevice* console() override;
 
   const std::vector<std::string>& console_log() const { return console_log_; }
@@ -64,25 +64,6 @@ class UkernelPort : public ArchPort {
   // recovery: a crashed driver server is simply replaced).
   void SetBlockServer(ukvm::ThreadId server);
   void SetNetServer(ukvm::ThreadId server);
-
-  // --- Crash recovery (E19) -------------------------------------------------
-
-  // Off by default (byte-identical). On, block writes carry a monotonic
-  // journal id in regs[3] and stay journaled until the server genuinely
-  // answers; a kernel-level kDead/kBadHandle reply (server task destroyed
-  // mid-call) keeps the entry for replay.
-  void SetCrashRecovery(bool on);
-
-  // Re-issues every journaled (unacknowledged) write with its original id
-  // against the current block server; the server's recovery log suppresses
-  // duplicates that landed before the crash. Returns the number of entries
-  // resolved; stops early if the server dies again.
-  uint64_t ReplayBlockJournal();
-
-  // Write chunks whose final status was success (exactly-once accounting).
-  uint64_t blk_writes_acked_ok() const;
-  // Journaled writes still awaiting a genuine server answer.
-  size_t blk_journal_depth() const;
 
  private:
   class IpcNet;

@@ -21,7 +21,7 @@ class VmmPort::HvConsole : public ConsoleDevice {
 };
 
 VmmPort::VmmPort(hwsim::Machine& machine, uvmm::Hypervisor& hv, ukvm::DomainId guest,
-                 NetDevice* net_frontend, BlockDevice* block_frontend, bool request_fast_trap)
+                 NetDevice* net_frontend, BlockPort* block_frontend, bool request_fast_trap)
     : machine_(machine), hv_(hv), guest_(guest), net_(net_frontend), block_(block_frontend) {
   req_syscall_name_ = machine_.names().Intern("os.syscall");
   console_dev_ = std::make_unique<HvConsole>(hv_, guest_);

@@ -28,13 +28,13 @@ class VmmPort : public ArchPort {
   // Registers the guest's trap table (syscall + page-fault entries) with
   // the hypervisor; `request_fast_trap` asks for the trap-gate shortcut.
   VmmPort(hwsim::Machine& machine, uvmm::Hypervisor& hv, ukvm::DomainId guest,
-          NetDevice* net_frontend, BlockDevice* block_frontend, bool request_fast_trap);
+          NetDevice* net_frontend, BlockPort* block_frontend, bool request_fast_trap);
   ~VmmPort() override;
 
   const char* name() const override { return "vmm"; }
   SyscallRet InvokeSyscall(Os& os, ukvm::ProcessId pid, SyscallReq& req) override;
   NetDevice* net() override { return net_; }
-  BlockDevice* block() override { return block_; }
+  BlockPort* block() override { return block_; }
   ConsoleDevice* console() override;
 
   ukvm::DomainId guest() const { return guest_; }
@@ -53,7 +53,7 @@ class VmmPort : public ArchPort {
   uvmm::Hypervisor& hv_;
   ukvm::DomainId guest_;
   NetDevice* net_;
-  BlockDevice* block_;
+  BlockPort* block_;
   std::unique_ptr<HvConsole> console_dev_;
 
   // In-flight syscall state (single-threaded simulation).

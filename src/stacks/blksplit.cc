@@ -165,12 +165,6 @@ BlkFront::BlkFront(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId guest
     : machine_(machine), hv_(hv), guest_(guest), mux_(mux),
       free_pfns_(pool.begin(), pool.end()), xenbus_(machine, "blk", guest) {
   hist_blk_e2e_ = machine_.tracer().InternHistogram("blk.e2e");
-  ukvm::NameTable& names = machine_.names();
-  req_write_name_ = names.Intern("blk.write");
-  req_read_name_ = names.Intern("blk.read");
-  req_rec_detect_name_ = names.Intern("recovery.detect");
-  req_rec_reconnect_name_ = names.Intern("recovery.reconnect");
-  req_rec_replay_name_ = names.Intern("recovery.replay");
 }
 
 BlkFront::~BlkFront() {
@@ -181,7 +175,7 @@ Err BlkFront::ProbeBackend(uint64_t timeout_cycles) {
   if (chan_ == nullptr) {
     return Err::kWouldBlock;
   }
-  const uint64_t id = next_id_++;
+  const uint64_t id = next_probe_id_++;
   const uint64_t t0 = machine_.Now();
   // Zero-block read: the backend's bounds check rejects it (kOutOfRange)
   // straight from the kick handler, before any grant work. The status is
@@ -256,7 +250,7 @@ void BlkFront::ProbeTick() {
   }
   // Issue the next one while the connection believes itself healthy.
   if (!probe_inflight_ && chan_ != nullptr && xenbus_.connected()) {
-    const uint64_t id = next_id_++;
+    const uint64_t id = next_probe_id_++;
     if (chan_->ring->PushRequest(BlkReq{id, /*is_write=*/false, 0, 0, 0}) &&
         hv_.HcEvtchnSend(guest_, chan_->front_port) == Err::kNone) {
       probe_inflight_ = true;
@@ -292,129 +286,19 @@ Err BlkFront::Connect(BlkBack& back) {
 }
 
 void BlkFront::OnBackendDead(DomainId dead) {
-  if (!crash_recovery_ || dead != backend_) {
+  if (dead != backend_) {
     return;
   }
   xenbus_.MarkFailure(machine_.Now());
-  // Dropping the channel wakes any in-flight DoRequest wait with kDead; the
-  // channel object itself dies with the backend. Journaled writes stay.
+  // Dropping the channel wakes any in-flight Submit wait with kDead; the
+  // channel object itself dies with the backend.
   chan_ = nullptr;
 }
 
 Err BlkFront::Reconnect(BlkBack& back) {
-  Err err = Connect(back);
-  if (err != Err::kNone) {
-    return err;
-  }
+  UKVM_TRY(Connect(back));
   xenbus_.OnReconnected();
-  // Attach the recovery phases to every journaled request's DAG: the outage
-  // window [failure, detected] and the rebuild [detected, reconnected] are
-  // exactly where those requests' wall-clock went (E22). The replay segment
-  // is added per entry by ReplayWrite.
-  const RecoveryPhases phases = xenbus_.last_phases();
-  if (phases.valid()) {
-    for (const auto& [id, entry] : journal_) {
-      machine_.reqtrace().AddLeafTo(entry.trace, req_rec_detect_name_,
-                                    ukvm::ReqNodeKind::kRecovery, guest_, phases.failure_at,
-                                    phases.detected_at);
-      machine_.reqtrace().AddLeafTo(entry.trace, req_rec_reconnect_name_,
-                                    ukvm::ReqNodeKind::kRecovery, guest_, phases.detected_at,
-                                    phases.reconnected_at);
-    }
-  }
-  // Replay unacknowledged writes in id order with their original ids; the
-  // backend's recovery log turns duplicates into success replies. A write
-  // the backend answers (any status) is resolved; if the backend dies again
-  // mid-replay the tail stays journaled for the next reconnect.
-  uint64_t replayed = 0;
-  std::vector<uint64_t> resolved;
-  for (const auto& [id, entry] : journal_) {
-    bool answered = false;
-    (void)ReplayWrite(id, entry, answered);
-    if (!answered) {
-      break;
-    }
-    resolved.push_back(id);
-    ++replayed;
-  }
-  for (uint64_t id : resolved) {
-    journal_.erase(id);
-  }
-  xenbus_.OnReplayed(replayed);
   return Err::kNone;
-}
-
-Err BlkFront::ReplayWrite(uint64_t id, const JournalEntry& entry, bool& answered) {
-  answered = false;
-  if (chan_ == nullptr) {
-    return Err::kDead;
-  }
-  if (free_pfns_.empty()) {
-    return Err::kBusy;
-  }
-  // The replay re-issues the *original* request: re-adopt its trace so the
-  // second staging copy and ring traversal join the same DAG, and forgive
-  // the handoffs that died with the old backend (ring stash, lost upcall).
-  machine_.reqtrace().ForgiveHandoffs(entry.trace);
-  ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), entry.trace);
-  const uint64_t replay_t0 = machine_.Now();
-  uvmm::Domain* dom = hv_.FindDomain(guest_);
-  const uvmm::Pfn pfn = free_pfns_.front();
-  free_pfns_.pop_front();
-  auto mfn = dom->MfnOf(pfn);
-  assert(mfn.ok());
-  machine_.memory().Write(machine_.memory().FrameBase(*mfn), entry.payload);
-  machine_.ChargeCopy(entry.payload.size());
-  RaceFrameAccess(machine_, guest_, *mfn, /*write=*/true, "blk.payload");
-  const uint64_t cache_key = uint64_t{pfn} * 2;  // writes grant read-only pages
-  uint32_t gref = 0;
-  bool cached_grant = false;
-  if (persistent_) {
-    if (auto hit = gref_cache_.LookupGrant(cache_key)) {
-      gref = *hit;
-      cached_grant = true;
-    }
-  }
-  if (!cached_grant) {
-    auto fresh = hv_.HcGrantAccess(guest_, backend_, pfn, /*writable=*/false);
-    if (!fresh.ok()) {
-      free_pfns_.push_back(pfn);
-      return fresh.error();
-    }
-    gref = *fresh;
-    if (persistent_) {
-      gref_cache_.InsertGrant(cache_key, gref);
-    }
-  }
-  chan_->ring->PushRequest(BlkReq{id, /*is_write=*/true, entry.lba, entry.count, gref});
-  Err err = hv_.HcEvtchnSend(guest_, chan_->front_port);
-  if (err == Err::kNone) {
-    err = machine_.WaitUntil([&] { return completed_.contains(id) || chan_ == nullptr; },
-                             2'000'000'000ull);
-  }
-  if (err == Err::kNone) {
-    if (completed_.contains(id)) {
-      answered = true;
-      err = completed_[id];
-      completed_.erase(id);
-      if (err == Err::kNone) {
-        ++writes_acked_ok_;
-      }
-    } else {
-      err = Err::kDead;  // woke because the backend died again
-    }
-  }
-  if (answered) {
-    machine_.reqtrace().AddLeafTo(entry.trace, req_rec_replay_name_,
-                                  ukvm::ReqNodeKind::kRecovery, guest_, replay_t0,
-                                  machine_.Now());
-    machine_.reqtrace().EndRequest(entry.trace);
-  }
-  if (!persistent_) {
-    (void)hv_.HcGrantEnd(guest_, gref);
-  }
-  free_pfns_.push_back(pfn);
-  return err;
 }
 
 void BlkFront::OnResponse() {
@@ -429,152 +313,96 @@ void BlkFront::OnResponse() {
   }
 }
 
-Err BlkFront::Read(uint64_t lba, uint32_t count, std::span<uint8_t> out) {
-  return DoRequest(/*is_write=*/false, lba, count, out, {});
+uint32_t BlkFront::max_blocks() const {
+  return static_cast<uint32_t>(machine_.memory().page_size() / block_size_);
 }
 
-Err BlkFront::Write(uint64_t lba, uint32_t count, std::span<const uint8_t> in) {
-  return DoRequest(/*is_write=*/true, lba, count, {}, in);
-}
-
-Err BlkFront::DoRequest(bool is_write, uint64_t lba, uint32_t count, std::span<uint8_t> out,
-                        std::span<const uint8_t> in) {
+Err BlkFront::Ready() {
   if (chan_ == nullptr) {
-    // A never-connected frontend would block; in recovery mode a null
-    // channel means OnBackendDead dropped it, so report the death (the
-    // channel comes back via Reconnect). Journaling is skipped either way —
-    // the request never reached a ring.
-    return crash_recovery_ && backend_.valid() ? Err::kDead : Err::kWouldBlock;
+    // A never-connected frontend would block; a connected one whose channel
+    // OnBackendDead dropped reports the death (Reconnect brings it back).
+    return backend_.valid() ? Err::kDead : Err::kWouldBlock;
   }
   if (block_size_ == 0) {
     return Err::kInvalidArgument;
   }
-  const auto span_size = is_write ? in.size() : out.size();
-  if (span_size < uint64_t{count} * block_size_) {
-    return Err::kInvalidArgument;
+  if (!hv_.DomainAlive(backend_)) {
+    return Err::kDead;
   }
-  const uint32_t blocks_per_page =
-      static_cast<uint32_t>(machine_.memory().page_size() / block_size_);
-  uvmm::Domain* dom = hv_.FindDomain(guest_);
+  return free_pfns_.empty() ? Err::kBusy : Err::kNone;
+}
 
-  uint32_t done = 0;
-  while (done < count) {
-    if (!hv_.DomainAlive(backend_)) {
-      return Err::kDead;
+minios::BlockCompletion BlkFront::Submit(const minios::BlockRequest& req) {
+  const uint64_t submit_t0 = machine_.Now();
+  const uvmm::Pfn pfn = free_pfns_.front();
+  free_pfns_.pop_front();
+  auto mfn = hv_.FindDomain(guest_)->MfnOf(pfn);
+  assert(mfn.ok());
+  if (req.write) {
+    // Guest kernel copies the payload into the I/O page.
+    machine_.memory().Write(machine_.memory().FrameBase(*mfn), req.in);
+    machine_.ChargeCopy(req.in.size());
+    RaceFrameAccess(machine_, guest_, *mfn, /*write=*/true, "blk.payload");
+  }
+  // Persistent mode caches one grant per (pfn, direction); the backend's
+  // mapping stays live, so the grant is never ended (EndGrant would see
+  // kBusy anyway while the backend holds it mapped).
+  const bool writable = !req.write;
+  const uint64_t cache_key = uint64_t{pfn} * 2 + (writable ? 1 : 0);
+  uint32_t gref = 0;
+  bool cached_grant = false;
+  if (persistent_) {
+    if (auto hit = gref_cache_.LookupGrant(cache_key)) {
+      gref = *hit;
+      cached_grant = true;
     }
-    const uint32_t chunk = std::min(count - done, blocks_per_page);
-    const uint64_t bytes = uint64_t{chunk} * block_size_;
-    const uint64_t chunk_t0 = machine_.Now();
-    if (free_pfns_.empty()) {
-      return Err::kBusy;
+  }
+  if (!cached_grant) {
+    auto fresh = hv_.HcGrantAccess(guest_, backend_, pfn, writable);
+    if (!fresh.ok()) {
+      // Never reached the backend, so no answer: a journaled write stays.
+      free_pfns_.push_back(pfn);
+      return {fresh.error(), /*answered=*/false};
     }
-    const uvmm::Pfn pfn = free_pfns_.front();
-    free_pfns_.pop_front();
-    auto mfn = dom->MfnOf(pfn);
-    assert(mfn.ok());
-    // One traced request per chunk: the staging copy, grant, ring stash,
-    // kick, and (on reads) the payload copy-out all attribute to it.
-    ukvm::ReqOriginScope req_scope(machine_.reqtrace(),
-                                   is_write ? req_write_name_ : req_read_name_, guest_);
-
-    if (is_write) {
-      // Guest kernel copies the payload into the I/O page.
-      machine_.memory().Write(machine_.memory().FrameBase(*mfn),
-                              in.subspan(uint64_t{done} * block_size_, bytes));
-      machine_.ChargeCopy(bytes);
-      RaceFrameAccess(machine_, guest_, *mfn, /*write=*/true, "blk.payload");
-    }
-    // Persistent mode caches one grant per (pfn, direction); the backend's
-    // mapping stays live, so the grant is never ended (EndGrant would see
-    // kBusy anyway while the backend holds it mapped).
-    const bool writable = !is_write;
-    const uint64_t cache_key = uint64_t{pfn} * 2 + (writable ? 1 : 0);
-    uint32_t gref = 0;
-    bool cached_grant = false;
+    gref = *fresh;
     if (persistent_) {
-      if (auto hit = gref_cache_.LookupGrant(cache_key)) {
-        gref = *hit;
-        cached_grant = true;
-      }
+      gref_cache_.InsertGrant(cache_key, gref);
     }
-    if (!cached_grant) {
-      auto fresh = hv_.HcGrantAccess(guest_, backend_, pfn, writable);
-      if (!fresh.ok()) {
-        free_pfns_.push_back(pfn);
-        machine_.reqtrace().AbandonRequest(req_scope.ref());
-        return fresh.error();
-      }
-      gref = *fresh;
-      if (persistent_) {
-        gref_cache_.InsertGrant(cache_key, gref);
-      }
-    }
-    const uint64_t id = next_id_++;
-    if (crash_recovery_ && is_write) {
-      JournalEntry& entry = journal_[id];
-      entry.lba = lba + done;
-      entry.count = chunk;
-      const auto payload = in.subspan(uint64_t{done} * block_size_, bytes);
-      entry.payload.assign(payload.begin(), payload.end());
-      entry.trace = req_scope.ref();
-    }
-    chan_->ring->PushRequest(BlkReq{id, is_write, lba + done, chunk, gref});
-    Err err = hv_.HcEvtchnSend(guest_, chan_->front_port);
-    if (err == Err::kNone) {
-      if (crash_recovery_) {
-        // Also wake on backend death (OnBackendDead nulls the channel)
-        // instead of riding out the full timeout against a corpse.
-        err = machine_.WaitUntil([&] { return completed_.contains(id) || chan_ == nullptr; },
-                                 2'000'000'000ull);
-      } else {
-        err = machine_.WaitUntil([&] { return completed_.contains(id); }, 2'000'000'000ull);
-      }
-    }
-    bool answered = false;
-    if (err == Err::kNone) {
-      if (completed_.contains(id)) {
-        answered = true;
-        err = completed_[id];
-        completed_.erase(id);
-      } else {
-        err = Err::kDead;  // recovery wake: the backend died under us
-      }
-    }
-    if (crash_recovery_ && is_write) {
-      if (answered) {
-        // The backend replied — the write's fate is known, nothing to replay.
-        journal_.erase(id);
-        if (err == Err::kNone) {
-          ++writes_acked_ok_;
-        }
-      }
-      // Unanswered (death or timeout): the entry stays journaled; Reconnect
-      // replays it and the recovery log keeps the disk exactly-once.
-    }
-    if (!persistent_) {
-      (void)hv_.HcGrantEnd(guest_, gref);
-    }
-    if (err == Err::kNone && !is_write) {
-      RaceFrameAccess(machine_, guest_, *mfn, /*write=*/false, "blk.payload");
-      machine_.memory().Read(machine_.memory().FrameBase(*mfn),
-                             out.subspan(uint64_t{done} * block_size_, bytes));
-      machine_.ChargeCopy(bytes);
-    }
-    if (err == Err::kNone) {
-      machine_.reqtrace().EndRequest(req_scope.ref());
-    } else if (!(crash_recovery_ && is_write && !answered)) {
-      // Journaled-unanswered writes stay live: Reconnect's replay resolves
-      // them and their DAG gains the recovery-phase leaves.
-      machine_.reqtrace().AbandonRequest(req_scope.ref());
-    }
-    free_pfns_.push_back(pfn);
-    if (err != Err::kNone) {
-      return err;
-    }
-    machine_.tracer().RecordLatency(hist_blk_e2e_, machine_.Now() - chunk_t0);
-    done += chunk;
   }
-  return Err::kNone;
+  chan_->ring->PushRequest(BlkReq{req.id, req.write, req.lba, req.count, gref});
+  minios::BlockCompletion done{hv_.HcEvtchnSend(guest_, chan_->front_port),
+                               /*answered=*/false};
+  if (done.status == Err::kNone) {
+    // Also wake on backend death (OnBackendDead nulls the channel) instead
+    // of riding out the full timeout against a corpse.
+    done.status = machine_.WaitUntil(
+        [&] { return completed_.contains(req.id) || chan_ == nullptr; }, 2'000'000'000ull);
+  }
+  if (done.status == Err::kNone) {
+    if (auto it = completed_.find(req.id); it != completed_.end()) {
+      done = {it->second, /*answered=*/true};
+      completed_.erase(it);
+    } else {
+      done.status = Err::kDead;  // woke because the backend died under us
+    }
+  }
+  if (req.on_answer && done.answered) {
+    req.on_answer(done);
+  }
+  if (!persistent_) {
+    (void)hv_.HcGrantEnd(guest_, gref);
+  }
+  if (done.status == Err::kNone && !req.write) {
+    RaceFrameAccess(machine_, guest_, *mfn, /*write=*/false, "blk.payload");
+    machine_.memory().Read(machine_.memory().FrameBase(*mfn), req.out);
+    machine_.ChargeCopy(req.out.size());
+  }
+  free_pfns_.push_back(pfn);
+  // A replay (on_answer set) is timed by the recovery.* histograms instead.
+  if (done.status == Err::kNone && !req.on_answer) {
+    machine_.tracer().RecordLatency(hist_blk_e2e_, machine_.Now() - submit_t0);
+  }
+  return done;
 }
 
 }  // namespace ustack

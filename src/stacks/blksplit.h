@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -109,7 +108,7 @@ class BlkBack {
   uint32_t req_dev_name_ = 0;  // E22 "disk.io" device leaf
 };
 
-class BlkFront : public minios::BlockDevice {
+class BlkFront : public minios::BlockPort {
  public:
   // `pool` are guest pfns used as I/O pages.
   BlkFront(hwsim::Machine& machine, uvmm::Hypervisor& hv, ukvm::DomainId guest,
@@ -118,12 +117,18 @@ class BlkFront : public minios::BlockDevice {
 
   ukvm::Err Connect(BlkBack& back);
 
-  // --- minios::BlockDevice ------------------------------------------------------
+  // --- minios::BlockPort --------------------------------------------------------
 
   uint32_t block_size() const override { return block_size_; }
   uint64_t capacity_blocks() const override { return capacity_; }
-  ukvm::Err Read(uint64_t lba, uint32_t count, std::span<uint8_t> out) override;
-  ukvm::Err Write(uint64_t lba, uint32_t count, std::span<const uint8_t> in) override;
+  // One I/O page per request.
+  uint32_t max_blocks() const override;
+  ukvm::DomainId domain() const override { return guest_; }
+  // A channel, a live backend and a free I/O page.
+  ukvm::Err Ready() override;
+  // Stages the payload in an I/O page, grants it, kicks the ring and waits
+  // for the response (or the backend's death).
+  minios::BlockCompletion Submit(const minios::BlockRequest& req) override;
 
   // Persistent-grant mode: an I/O page's access grant is cached per
   // (pfn, direction) and never ended, so steady state issues no grant
@@ -132,20 +137,16 @@ class BlkFront : public minios::BlockDevice {
   const uvmm::GrantCache& gref_cache() const { return gref_cache_; }
 
   // --- Crash recovery (E19) -------------------------------------------------
-
-  // Off by default: without it every path below is inert and the frontend
-  // behaves byte-identically to the pre-E19 driver. With it, writes are
-  // journaled until acknowledged and replayed (same ids) after a reconnect.
-  void SetCrashRecovery(bool on) { crash_recovery_ = on; }
+  //
+  // The write journal and its replay live in MiniOS's BlockClient; the
+  // frontend only tears down and rebuilds the connection around them.
 
   // The backend domain died (domain-dead upcall or supervisor decision):
-  // drop the stale channel so in-flight waits wake with kDead. Journaled
-  // writes are retained for replay.
+  // drop the stale channel so in-flight waits wake with kDead.
   void OnBackendDead(ukvm::DomainId dead);
 
-  // Rebuilds the connection against a restarted backend, then replays every
-  // journaled (unacknowledged) write with its original id; the backend's
-  // recovery log suppresses the ones that landed before the crash.
+  // Rebuilds the connection against a restarted backend. The stack then
+  // replays the client's journal over it.
   ukvm::Err Reconnect(BlkBack& back);
 
   // --- Frontend-driven liveness probing (E19 follow-up) ---------------------
@@ -170,23 +171,8 @@ class BlkFront : public minios::BlockDevice {
   uint64_t probe_detections() const { return probe_detections_; }
 
   XenbusConn& xenbus() { return xenbus_; }
-  uint64_t writes_acked_ok() const { return writes_acked_ok_; }
-  size_t journal_depth() const { return journal_.size(); }
 
  private:
-  struct JournalEntry {
-    uint64_t lba = 0;      // slice-relative
-    uint32_t count = 0;    // blocks, fits one page
-    std::vector<uint8_t> payload;
-    ukvm::ReqTraceRef trace;  // E22: the write request, live until resolved
-  };
-
-  ukvm::Err DoRequest(bool is_write, uint64_t lba, uint32_t count, std::span<uint8_t> out,
-                      std::span<const uint8_t> in);
-  // Re-issues one journaled write with its original id and waits for the
-  // acknowledgement. `answered` reports whether the backend replied at all
-  // (any status resolves the entry); kDead means it died again mid-replay.
-  ukvm::Err ReplayWrite(uint64_t id, const JournalEntry& entry, bool& answered);
   void OnResponse();
   void ProbeTick();
 
@@ -201,19 +187,12 @@ class BlkFront : public minios::BlockDevice {
   uvmm::GrantCache gref_cache_;  // pfn*2+writable -> gref
   uint32_t block_size_ = 0;
   uint64_t capacity_ = 0;
-  uint64_t next_id_ = 1;  // monotonic across reconnects — replay reuses ids
+  // Probes take ring ids from the top half, requests (the client's ids)
+  // from the bottom, so a probe never matches a request's response.
+  uint64_t next_probe_id_ = uint64_t{1} << 63;
   uint32_t hist_blk_e2e_ = 0;  // "blk.e2e": request submit -> completion cycles
-  // E22 interned request-trace names.
-  uint32_t req_write_name_ = 0;          // "blk.write" origin
-  uint32_t req_read_name_ = 0;           // "blk.read" origin
-  uint32_t req_rec_detect_name_ = 0;     // "recovery.detect" leaf
-  uint32_t req_rec_reconnect_name_ = 0;  // "recovery.reconnect" leaf
-  uint32_t req_rec_replay_name_ = 0;     // "recovery.replay" leaf
   std::unordered_map<uint64_t, ukvm::Err> completed_;  // id -> status
-  bool crash_recovery_ = false;
   XenbusConn xenbus_;
-  std::map<uint64_t, JournalEntry> journal_;  // unacked writes, replayed in id order
-  uint64_t writes_acked_ok_ = 0;  // write chunks whose final status was kNone
 
   // Periodic liveness-probe state (StartLivenessProbe).
   uint64_t probe_interval_ = 0;   // 0 = probing stopped

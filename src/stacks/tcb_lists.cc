@@ -22,9 +22,10 @@ std::vector<std::string> HypervisorFiles() {
 }
 
 std::vector<std::string> MiniOsFiles() {
-  return {"src/os/kernel.cc", "src/os/kernel.h", "src/os/vfs.cc",
-          "src/os/vfs.h",     "src/os/netstack.cc", "src/os/netstack.h",
-          "src/os/process.h", "src/os/syscall.h"};
+  return {"src/os/kernel.cc",       "src/os/kernel.h",       "src/os/vfs.cc",
+          "src/os/vfs.h",           "src/os/netstack.cc",    "src/os/netstack.h",
+          "src/os/block_client.cc", "src/os/block_client.h", "src/os/process.h",
+          "src/os/syscall.h"};
 }
 
 std::vector<std::string> DriverFiles() {

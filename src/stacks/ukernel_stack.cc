@@ -134,11 +134,11 @@ std::unique_ptr<UkernelStack::Guest> UkernelStack::MakeGuest(const std::string& 
 
   g->port = std::make_unique<minios::UkernelPort>(machine_, wiring);
   if (crash_recovery_) {
-    g->port->SetCrashRecovery(true);
     g->xenbus = std::make_unique<XenbusConn>(machine_, "uk-blk", g->os_task);
     g->xenbus->OnConnected();
   }
   g->os = std::make_unique<minios::Os>(machine_, *g->port, name);
+  g->os->block().SetCrashRecovery(crash_recovery_);
   ukvm::ProbeScope boot_frame(machine_.tracer(), machine_.names().Intern("guest.boot"));
   const Err boot = g->os->Boot(/*format_disk=*/true);
   g->booted = boot == Err::kNone;
@@ -216,7 +216,7 @@ Err UkernelStack::RestartBlockServer() {
       g->port->SetBlockServer(block_server_->thread());
       if (g->xenbus != nullptr) {
         g->xenbus->OnReconnected();
-        g->xenbus->OnReplayed(g->port->ReplayBlockJournal());
+        g->xenbus->OnReplayed(g->os->block().ReplayJournal(minios::RecoveryPhases{}));
       }
     }
   }

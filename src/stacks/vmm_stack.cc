@@ -194,7 +194,6 @@ std::unique_ptr<VmmStack::Guest> VmmStack::MakeGuest(const std::string& name,
     g->blkfront->SetPersistentGrants(true);
   }
   if (crash_recovery_) {
-    g->blkfront->SetCrashRecovery(true);
     // Backend death reaches the guest as a kDomainDead upcall ("xenbus
     // watch fired"); each frontend decides whether the corpse was its peer.
     Guest* raw = g.get();
@@ -211,6 +210,7 @@ std::unique_ptr<VmmStack::Guest> VmmStack::MakeGuest(const std::string& name,
   g->port = std::make_unique<minios::VmmPort>(machine_, *hv_, g->domain, g->netfront.get(),
                                               g->blkfront.get(), config.request_fast_syscall);
   g->os = std::make_unique<minios::Os>(machine_, *g->port, name);
+  g->os->block().SetCrashRecovery(crash_recovery_);
   ukvm::ProbeScope boot_frame(machine_.tracer(), machine_.names().Intern("guest.boot"));
   const Err boot = g->os->Boot(/*format_disk=*/true);
   g->booted = boot == Err::kNone;
@@ -316,6 +316,8 @@ Err VmmStack::RestartStorage() {
     if (hv_->DomainAlive(g->domain)) {
       if (crash_recovery_) {
         UKVM_TRY(g->blkfront->Reconnect(*blkback_));
+        XenbusConn& conn = g->blkfront->xenbus();
+        conn.OnReplayed(g->os->block().ReplayJournal(conn.last_phases()));
       } else {
         UKVM_TRY(g->blkfront->Connect(*blkback_));
       }
@@ -414,7 +416,7 @@ Err VmmStack::ProbeStorageService() {
     // One real 1-block read through the split-driver ring — the same
     // round-trip any guest file I/O takes.
     std::vector<uint8_t> buf(g->blkfront->block_size());
-    return g->blkfront->Read(0, 1, buf);
+    return g->os->block().Read(0, 1, buf);
   }
   return Err::kDead;  // no live guest left to probe through
 }

@@ -87,7 +87,7 @@ void XenbusConn::OnReconnected() {
     recovery_span_ = 0;
   }
   machine_.counters().AddNamed("xenbus.reconnects");
-  last_phases_ = RecoveryPhases{failure_at_, detected_at_, reclaimed_at_, reconnected_at_};
+  last_phases_ = minios::RecoveryPhases{failure_at_, detected_at_, reclaimed_at_, reconnected_at_};
   failure_at_ = 0;
   Transition(XenbusState::kConnected);
 }

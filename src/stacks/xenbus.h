@@ -39,6 +39,7 @@
 
 #include "src/core/ids.h"
 #include "src/hw/machine.h"
+#include "src/os/block_client.h"
 
 namespace ustack {
 
@@ -81,19 +82,6 @@ enum class XenbusState : uint8_t {
 };
 
 const char* XenbusStateName(XenbusState state);
-
-// Timestamps of the most recent completed recovery, captured at
-// OnReconnected before the failure mark is re-armed. Drivers use it to
-// attach recovery-phase leaves to the request DAGs of journaled work (E22):
-// detect = [failure_at, detected_at], reclaim = [detected_at, reclaimed_at],
-// reconnect = [reclaimed_at, reconnected_at].
-struct RecoveryPhases {
-  uint64_t failure_at = 0;
-  uint64_t detected_at = 0;
-  uint64_t reclaimed_at = 0;
-  uint64_t reconnected_at = 0;
-  bool valid() const { return reconnected_at != 0; }
-};
 
 class XenbusConn {
  public:
@@ -140,7 +128,10 @@ class XenbusConn {
   uint64_t reconnects() const { return reconnects_; }
   uint64_t replayed_total() const { return replayed_total_; }
   const std::string& service() const { return service_; }
-  const RecoveryPhases& last_phases() const { return last_phases_; }
+  // Timestamps of the most recent completed recovery, captured at
+  // OnReconnected before the failure mark is re-armed; journal replay
+  // attaches them to the request DAGs of journaled work (E22).
+  const minios::RecoveryPhases& last_phases() const { return last_phases_; }
 
  private:
   void Transition(XenbusState next);
@@ -156,7 +147,7 @@ class XenbusConn {
   uint64_t reconnected_at_ = 0;
   uint64_t reconnects_ = 0;
   uint64_t replayed_total_ = 0;
-  RecoveryPhases last_phases_;
+  minios::RecoveryPhases last_phases_;
 
   uint32_t trace_state_name_ = 0;     // instant per transition
   uint32_t trace_recovery_name_ = 0;  // span over detect..reconnect

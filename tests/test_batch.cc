@@ -242,12 +242,13 @@ TEST(PersistentGrants, BlkFrontReusesGrantsOnceThePoolWraps) {
   config.persistent_grants = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   std::vector<uint8_t> buf(front.block_size());
   // The frontend rotates through an 8-pfn pool; past one lap every request
   // hits the gref cache instead of minting (and ending) a fresh grant, and
   // the backend's mapping cache keeps the page mapped across requests.
   for (int i = 0; i < 24; ++i) {
-    ASSERT_EQ(front.Read(0, 1, buf), Err::kNone);
+    ASSERT_EQ(blk.Read(0, 1, buf), Err::kNone);
   }
   EXPECT_GT(front.gref_cache().hits(), 0u);
   EXPECT_GT(stack.blkback().map_cache().hits(), 0u);
@@ -256,9 +257,10 @@ TEST(PersistentGrants, BlkFrontReusesGrantsOnceThePoolWraps) {
 TEST(PersistentGrants, DisabledByDefault) {
   ustack::VmmStack stack;
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   std::vector<uint8_t> buf(front.block_size());
   for (int i = 0; i < 24; ++i) {
-    ASSERT_EQ(front.Read(0, 1, buf), Err::kNone);
+    ASSERT_EQ(blk.Read(0, 1, buf), Err::kNone);
   }
   EXPECT_EQ(front.gref_cache().hits(), 0u);
   EXPECT_EQ(stack.blkback().map_cache().hits(), 0u);

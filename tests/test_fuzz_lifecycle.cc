@@ -644,15 +644,11 @@ TEST(FuzzLifecycle, VmmSeedBankCleanAndDeterministic) { RunSeedBank(RunVmmFuzz, 
 struct RecoveryTarget {
   hwsim::Machine* machine = nullptr;
   ucheck::Auditor* auditor = nullptr;
-  std::function<Err(uint64_t lba, std::span<const uint8_t>)> write;
-  std::function<Err(uint64_t lba, std::span<uint8_t>)> read;
+  minios::BlockClient* blk = nullptr;  // the guest's block client
+  ustack::XenbusConn* xenbus = nullptr;
+  const ustack::BlkRecoveryLog* log = nullptr;
   std::function<void()> kill;
   std::function<Err()> restart;
-  std::function<size_t()> journal_depth;
-  std::function<uint64_t()> applied_total;
-  std::function<uint64_t()> acked_total;
-  std::function<uint64_t()> reconnects;
-  uint32_t block_size = 0;
 };
 
 FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
@@ -661,8 +657,10 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
   std::map<uint64_t, uint8_t> model;  // lba -> fill byte of the last
                                       // acknowledged-or-journaled write
   bool alive = true;
-  std::vector<uint8_t> block(t.block_size);
-  std::vector<uint8_t> back(t.block_size);
+  minios::BlockClient& blk = *t.blk;
+  const uint32_t bs = blk.block_size();
+  std::vector<uint8_t> block(bs);
+  std::vector<uint8_t> back(bs);
 
   auto do_write = [&](uint64_t lba, bool mid_flight_kill) {
     const uint8_t fill = static_cast<uint8_t>(rng.Next() & 0xff);
@@ -674,12 +672,12 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
       const uint64_t delay = (10 + rng.Below(120)) * hwsim::kCyclesPerUs;
       t.machine->ScheduleAfter(delay, [&] { t.kill(); });
     }
-    const size_t depth_before = t.journal_depth();
-    const Err err = t.write(lba, block);
+    const size_t depth_before = blk.journal_depth();
+    const Err err = blk.Write(lba, 1, block);
     // A write is durable-eventually iff it was acknowledged or journaled;
     // journaled writes replay in id order before any post-restart write can
     // be issued, so last-writer-wins ordering matches issue order.
-    if (err == Err::kNone || t.journal_depth() > depth_before) {
+    if (err == Err::kNone || blk.journal_depth() > depth_before) {
       model[lba] = fill;
     }
     if (mid_flight_kill) {
@@ -698,9 +696,9 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
       do_write(lba, /*mid_flight_kill=*/false);
     } else if (op < 55 && alive) {  // read-verify against the model
       const auto it = model.find(lba);
-      if (it != model.end() && t.read(lba, back) == Err::kNone) {
+      if (it != model.end() && blk.Read(lba, 1, back) == Err::kNone) {
         EXPECT_EQ(back[0], it->second) << "seed " << seed << " lba " << lba;
-        EXPECT_EQ(back[t.block_size - 1], it->second) << "seed " << seed;
+        EXPECT_EQ(back[bs - 1], it->second) << "seed " << seed;
       }
     } else if (op < 65 && alive) {  // mid-flight kill under a write
       do_write(lba, /*mid_flight_kill=*/true);
@@ -710,7 +708,7 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
     } else if (op < 90 && !alive) {  // reconnect
       EXPECT_EQ(t.restart(), Err::kNone) << "seed " << seed;
       alive = true;
-      EXPECT_EQ(t.journal_depth(), 0u) << "seed " << seed;
+      EXPECT_EQ(blk.journal_depth(), 0u) << "seed " << seed;
     } else {  // let completions / upcalls drain
       t.machine->RunFor((1 + rng.Below(200)) * hwsim::kCyclesPerUs);
     }
@@ -723,22 +721,22 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
   if (!alive) {
     EXPECT_EQ(t.restart(), Err::kNone) << "seed " << seed;
   }
-  EXPECT_EQ(t.journal_depth(), 0u) << "seed " << seed;
-  EXPECT_EQ(t.applied_total(), t.acked_total()) << "seed " << seed;
+  EXPECT_EQ(blk.journal_depth(), 0u) << "seed " << seed;
+  EXPECT_EQ(t.log->applied_total(), blk.writes_acked_ok()) << "seed " << seed;
 
   Digest d;
   d.Mix(t.machine->Now());
   for (const auto& [lba, fill] : model) {
-    EXPECT_EQ(t.read(lba, back), Err::kNone) << "seed " << seed << " lba " << lba;
+    EXPECT_EQ(blk.Read(lba, 1, back), Err::kNone) << "seed " << seed << " lba " << lba;
     EXPECT_EQ(back[0], fill) << "seed " << seed << " lba " << lba;
-    EXPECT_EQ(back[t.block_size - 1], fill) << "seed " << seed << " lba " << lba;
+    EXPECT_EQ(back[bs - 1], fill) << "seed " << seed << " lba " << lba;
     d.Mix(lba);
     d.Mix(fill);
   }
-  d.Mix(t.applied_total());
-  d.Mix(t.acked_total());
-  d.Mix(t.reconnects());
-  d.Mix(t.journal_depth());
+  d.Mix(t.log->applied_total());
+  d.Mix(blk.writes_acked_ok());
+  d.Mix(t.xenbus->reconnects());
+  d.Mix(blk.journal_depth());
 
   FuzzResult out;
   out.digest = d.value;
@@ -758,19 +756,14 @@ FuzzResult RunUkernelRecoveryFuzzImpl(uint64_t seed, uint32_t steps, bool ipc_fa
   config.ipc_fastpath = ipc_fastpath;
   config.fastpath_features = features;
   ustack::UkernelStack stack(config);
-  auto* block = stack.guest(0).port->block();
   RecoveryTarget t;
   t.machine = &stack.machine();
   t.auditor = stack.auditor();
-  t.block_size = block->block_size();
-  t.write = [&](uint64_t lba, std::span<const uint8_t> in) { return block->Write(lba, 1, in); };
-  t.read = [&](uint64_t lba, std::span<uint8_t> out) { return block->Read(lba, 1, out); };
+  t.blk = &stack.guest_os(0).block();
+  t.xenbus = stack.guest(0).xenbus.get();
+  t.log = &stack.blk_recovery_log();
   t.kill = [&] { (void)stack.KillBlockServer(); };
   t.restart = [&] { return stack.RestartBlockServer(); };
-  t.journal_depth = [&] { return stack.guest(0).port->blk_journal_depth(); };
-  t.applied_total = [&] { return stack.blk_recovery_log().applied_total(); };
-  t.acked_total = [&] { return stack.guest(0).port->blk_writes_acked_ok(); };
-  t.reconnects = [&] { return stack.guest(0).xenbus->reconnects(); };
   FuzzResult out = RunRecoveryFuzzOn(t, seed, steps);
   out.fastpath_taken = stack.kernel().fastpath_stats().taken;
   out.fastpath_replywait = stack.kernel().fastpath_stats().replywait_coalesced;
@@ -799,21 +792,16 @@ FuzzResult RunVmmRecoveryFuzz(uint64_t seed, uint32_t steps, bool parallax) {
   config.crash_recovery = true;
   config.race_detect = true;  // E20: crash/replay histories must stay race-free
   ustack::VmmStack stack(config);
-  auto& front = *stack.guest(0).blkfront;
   RecoveryTarget t;
   t.machine = &stack.machine();
   t.auditor = stack.auditor();
-  t.block_size = front.block_size();
-  t.write = [&](uint64_t lba, std::span<const uint8_t> in) { return front.Write(lba, 1, in); };
-  t.read = [&](uint64_t lba, std::span<uint8_t> out) { return front.Read(lba, 1, out); };
+  t.blk = &stack.guest_os(0).block();
+  t.xenbus = &stack.guest(0).blkfront->xenbus();
+  t.log = &stack.blk_recovery_log();
   // Parallax: whole-VM death (reclamation + kDomainDead upcalls). Dom0
   // storage: a driver crash inside the surviving Dom0.
   t.kill = [&] { parallax ? (void)stack.KillStorage() : (void)stack.CrashStorageService(); };
   t.restart = [&] { return stack.RestartStorage(); };
-  t.journal_depth = [&] { return front.journal_depth(); };
-  t.applied_total = [&] { return stack.blk_recovery_log().applied_total(); };
-  t.acked_total = [&] { return front.writes_acked_ok(); };
-  t.reconnects = [&] { return front.xenbus().reconnects(); };
   return RunRecoveryFuzzOn(t, seed, steps);
 }
 

@@ -183,7 +183,7 @@ TEST_F(OsTest, VfsSurvivesRemount) {
   ASSERT_EQ(os.Close(pid_, fd), 0);
 
   // Re-mount a second VFS instance on the same device.
-  Vfs vfs2(*stack_.port().block());
+  Vfs vfs2(stack_.os().block());
   ASSERT_EQ(vfs2.Mount(), Err::kNone);
   auto inode = vfs2.LookUp("persist");
   ASSERT_TRUE(inode.ok());
@@ -210,7 +210,7 @@ TEST_F(OsTest, MountRejectsUnformattedDevice) {
   // Corrupt the superblock.
   std::vector<uint8_t> junk(512, 0xFF);
   ASSERT_EQ(other.disk().WriteBacking(0, junk), Err::kNone);
-  Vfs vfs(*other.port().block());
+  Vfs vfs(other.os().block());
   EXPECT_EQ(vfs.Mount(), Err::kInvalidArgument);
 }
 

@@ -250,10 +250,11 @@ TEST(RaceCleanRun, VmmStackPageFlipAndBlkTraffic) {
   }), Err::kNone);
   // Block traffic: writes stage payload frames, reads pull them back.
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   std::vector<uint8_t> block(front.block_size(), 0xAB);
   std::vector<uint8_t> back(front.block_size(), 0);
-  ASSERT_EQ(front.Write(3, 1, block), Err::kNone);
-  ASSERT_EQ(front.Read(3, 1, back), Err::kNone);
+  ASSERT_EQ(blk.Write(3, 1, block), Err::kNone);
+  ASSERT_EQ(blk.Read(3, 1, back), Err::kNone);
   EXPECT_EQ(back, block);
   stack.machine().RunUntilIdle();
   stack.auditor()->Checkpoint("end");

@@ -28,18 +28,12 @@ using ucheck::Invariant;
 using ukvm::Err;
 using ustack::XenbusState;
 
-uint64_t VmmAckedWrites(ustack::VmmStack& stack) {
+// Write chunks the guests' block clients saw acknowledged.
+template <typename StackT>
+uint64_t AckedWrites(StackT& stack) {
   uint64_t acked = 0;
   for (size_t i = 0; i < stack.num_guests(); ++i) {
-    acked += stack.guest(i).blkfront->writes_acked_ok();
-  }
-  return acked;
-}
-
-uint64_t UkAckedWrites(ustack::UkernelStack& stack) {
-  uint64_t acked = 0;
-  for (size_t i = 0; i < stack.num_guests(); ++i) {
-    acked += stack.guest(i).port->blk_writes_acked_ok();
+    acked += stack.guest_os(i).block().writes_acked_ok();
   }
   return acked;
 }
@@ -111,49 +105,50 @@ TEST(Recovery, VmmParallaxMidFlightKillReplaysExactlyOnce) {
   config.crash_recovery = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   const uint32_t bs = front.block_size();
   ASSERT_GT(bs, 0u);
 
   // Steady state: a few acknowledged writes.
   std::vector<uint8_t> block(bs, 0x5a);
   for (uint64_t lba = 0; lba < 4; ++lba) {
-    ASSERT_EQ(front.Write(lba, 1, block), Err::kNone);
+    ASSERT_EQ(blk.Write(lba, 1, block), Err::kNone);
   }
-  const uint64_t acked_before = front.writes_acked_ok();
+  const uint64_t acked_before = blk.writes_acked_ok();
 
   // Kill the storage VM while a write is in flight: the disk's fixed
   // latency is 100us, so a kill at +50us fires inside the frontend's
   // completion wait, after the request reached the backend.
   std::vector<uint8_t> limbo(bs, 0xa7);
   stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs, [&] { (void)stack.KillStorage(); });
-  EXPECT_EQ(front.Write(7, 1, limbo), Err::kDead);
-  EXPECT_EQ(front.journal_depth(), 1u);  // the limbo write awaits replay
+  EXPECT_EQ(blk.Write(7, 1, limbo), Err::kDead);
+  EXPECT_EQ(blk.journal_depth(), 1u);  // the limbo write awaits replay
   EXPECT_EQ(front.xenbus().state(), XenbusState::kConnected);  // not yet "detected"
 
   // Writes during the outage fail fast and are not journaled (no channel).
-  EXPECT_EQ(front.Write(9, 1, block), Err::kDead);
-  EXPECT_EQ(front.journal_depth(), 1u);
+  EXPECT_EQ(blk.Write(9, 1, block), Err::kDead);
+  EXPECT_EQ(blk.journal_depth(), 1u);
 
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   EXPECT_TRUE(front.xenbus().connected());
   EXPECT_EQ(front.xenbus().reconnects(), 1u);
-  EXPECT_EQ(front.journal_depth(), 0u);  // replay resolved the limbo write
-  EXPECT_GE(front.writes_acked_ok(), acked_before + 1);
+  EXPECT_EQ(blk.journal_depth(), 0u);  // replay resolved the limbo write
+  EXPECT_GE(blk.writes_acked_ok(), acked_before + 1);
 
   // The in-flight DMA queued by the dead backend was quiesced, not leaked.
   EXPECT_GE(stack.machine().counters().Get("recovery.disk.dma_cancelled"), 1u);
 
   // Zero-loss: the limbo write's payload is on disk after replay.
   std::vector<uint8_t> back(bs);
-  ASSERT_EQ(front.Read(7, 1, back), Err::kNone);
+  ASSERT_EQ(blk.Read(7, 1, back), Err::kNone);
   EXPECT_EQ(back, limbo);
 
   // Exactly-once: every applied write was acked exactly once, and vice versa.
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(stack.blk_recovery_log().applied_total(), AckedWrites(stack));
 
   // Service is fully back for ordinary I/O.
-  ASSERT_EQ(front.Write(9, 1, block), Err::kNone);
-  ASSERT_EQ(front.Read(9, 1, back), Err::kNone);
+  ASSERT_EQ(blk.Write(9, 1, block), Err::kNone);
+  ASSERT_EQ(blk.Read(9, 1, back), Err::kNone);
   EXPECT_EQ(back, block);
 
   if (stack.auditor() != nullptr) {
@@ -175,6 +170,7 @@ TEST(Recovery, VmmParallaxDuplicateSuppression) {
   config.crash_recovery = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   const uint32_t bs = front.block_size();
   std::vector<uint8_t> block(bs, 0x11);
 
@@ -184,13 +180,13 @@ TEST(Recovery, VmmParallaxDuplicateSuppression) {
   // invariant must hold. (The simulated clock makes the interleaving exact
   // per build, but the assertions are interleaving-agnostic by design.)
   stack.machine().ScheduleAfter(99 * hwsim::kCyclesPerUs, [&] { (void)stack.KillStorage(); });
-  (void)front.Write(3, 1, block);
+  (void)blk.Write(3, 1, block);
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);
-  EXPECT_EQ(front.journal_depth(), 0u);
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(blk.journal_depth(), 0u);
+  EXPECT_EQ(stack.blk_recovery_log().applied_total(), AckedWrites(stack));
 
   std::vector<uint8_t> back(bs);
-  ASSERT_EQ(front.Read(3, 1, back), Err::kNone);
+  ASSERT_EQ(blk.Read(3, 1, back), Err::kNone);
   EXPECT_EQ(back, block);  // zero-loss regardless of where the kill landed
 }
 
@@ -201,24 +197,25 @@ TEST(Recovery, VmmDom0StorageServiceCrashRecovers) {
   config.crash_recovery = true;  // storage stays in Dom0
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   const uint32_t bs = front.block_size();
   std::vector<uint8_t> block(bs, 0x33);
-  ASSERT_EQ(front.Write(1, 1, block), Err::kNone);
+  ASSERT_EQ(blk.Write(1, 1, block), Err::kNone);
 
   std::vector<uint8_t> limbo(bs, 0x44);
   stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs,
                                 [&] { (void)stack.CrashStorageService(); });
-  EXPECT_EQ(front.Write(2, 1, limbo), Err::kDead);
-  EXPECT_EQ(front.journal_depth(), 1u);
+  EXPECT_EQ(blk.Write(2, 1, limbo), Err::kDead);
+  EXPECT_EQ(blk.journal_depth(), 1u);
 
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);  // Dom0 survived the crash
   EXPECT_TRUE(front.xenbus().connected());
-  EXPECT_EQ(front.journal_depth(), 0u);
+  EXPECT_EQ(blk.journal_depth(), 0u);
 
   std::vector<uint8_t> back(bs);
-  ASSERT_EQ(front.Read(2, 1, back), Err::kNone);
+  ASSERT_EQ(blk.Read(2, 1, back), Err::kNone);
   EXPECT_EQ(back, limbo);
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(stack.blk_recovery_log().applied_total(), AckedWrites(stack));
 }
 
 // --- VMM net: drop-and-retransmit over a restarted driver domain -----------------
@@ -276,26 +273,26 @@ TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
   ustack::UkernelStack stack(config);
   auto& g = stack.guest(0);
   ASSERT_TRUE(g.booted);
-  auto* block = g.port->block();
+  minios::BlockClient* block = &g.os->block();
   const uint32_t bs = block->block_size();
   ASSERT_GT(bs, 0u);
 
   std::vector<uint8_t> data(bs, 0x66);
   ASSERT_EQ(block->Write(5, 1, data), Err::kNone);
-  EXPECT_EQ(g.port->blk_journal_depth(), 0u);
+  EXPECT_EQ(block->journal_depth(), 0u);
 
   ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
   // A write against the dead server is journaled (limbo) and fails.
   std::vector<uint8_t> limbo(bs, 0x77);
   EXPECT_EQ(block->Write(6, 1, limbo), Err::kDead);
-  EXPECT_EQ(g.port->blk_journal_depth(), 1u);
+  EXPECT_EQ(block->journal_depth(), 1u);
 
   ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
   ASSERT_NE(g.xenbus, nullptr);
   EXPECT_TRUE(g.xenbus->connected());
   EXPECT_EQ(g.xenbus->reconnects(), 1u);
   EXPECT_EQ(g.xenbus->replayed_total(), 1u);
-  EXPECT_EQ(g.port->blk_journal_depth(), 0u);
+  EXPECT_EQ(block->journal_depth(), 0u);
 
   // Zero-loss: the journaled write landed through the replay.
   std::vector<uint8_t> back(bs);
@@ -305,7 +302,7 @@ TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
   ASSERT_EQ(block->Read(5, 1, back), Err::kNone);
   EXPECT_EQ(back, data);
 
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), UkAckedWrites(stack));
+  EXPECT_EQ(stack.blk_recovery_log().applied_total(), AckedWrites(stack));
   EXPECT_EQ(stack.machine().counters().Get("xenbus.reconnects"), 1u);
 
   if (stack.auditor() != nullptr) {
@@ -321,7 +318,7 @@ TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
   config.crash_recovery = true;
   ustack::UkernelStack stack(config);
   auto& g = stack.guest(0);
-  auto* block = g.port->block();
+  minios::BlockClient* block = &g.os->block();
   const uint32_t bs = block->block_size();
 
   const uint64_t served_before = stack.block_server().requests_served();
@@ -359,7 +356,7 @@ TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
     EXPECT_EQ(os.Read(pid, fd, back), 5);
     EXPECT_EQ(back, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
   });
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), UkAckedWrites(stack));
+  EXPECT_EQ(stack.blk_recovery_log().applied_total(), AckedWrites(stack));
 }
 
 // --- E21 satellite: rx-slot replay across backend death ---------------------------
@@ -438,8 +435,9 @@ TEST(Recovery, KnobOffKeepsLegacyRestartSemantics) {
   ASSERT_EQ(stack.KillStorage(), Err::kNone);
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   EXPECT_EQ(front.xenbus().reconnects(), 0u);
-  EXPECT_EQ(front.journal_depth(), 0u);
+  EXPECT_EQ(blk.journal_depth(), 0u);
   EXPECT_EQ(stack.blk_recovery_log().applied_total(), 0u);
   EXPECT_EQ(stack.machine().counters().Get("xenbus.reconnects"), 0u);
 }

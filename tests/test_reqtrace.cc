@@ -157,11 +157,12 @@ ReqExport RunTracedVmm(bool request_trace = true) {
     uwork::RunUdpReceive(stack.machine(), os, *pid, 40, 16, 1'000'000'000ull);
   });
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   std::vector<uint8_t> block(front.block_size(), 0x5A);
   std::vector<uint8_t> back(front.block_size(), 0);
   for (uint64_t lba = 0; lba < 4; ++lba) {
-    EXPECT_EQ(front.Write(lba, 1, block), Err::kNone);
-    EXPECT_EQ(front.Read(lba, 1, back), Err::kNone);
+    EXPECT_EQ(blk.Write(lba, 1, block), Err::kNone);
+    EXPECT_EQ(blk.Read(lba, 1, back), Err::kNone);
   }
   stack.machine().RunUntilIdle();
   return HarvestMachine(stack.machine());
@@ -323,9 +324,10 @@ TEST(ReqTraceMutation, DroppedRingStashFlagsOrphanedHandoff) {
   config.request_trace.enabled = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   std::vector<uint8_t> block(front.block_size(), 0x11);
   stack.machine().reqtrace().TestDropNextRingStash();
-  (void)front.Write(0, 1, block);
+  (void)blk.Write(0, 1, block);
   stack.machine().RunUntilIdle();
   EXPECT_GT(stack.machine().reqtrace().Lint().orphaned_handoffs, 0u);
 }
@@ -336,9 +338,10 @@ TEST(ReqTraceMutation, DroppedUpcallAdoptionLeavesRequestUnparented) {
   config.request_trace.enabled = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   std::vector<uint8_t> block(front.block_size(), 0x22);
   stack.machine().reqtrace().TestDropNextChannelAdopt();
-  (void)front.Write(0, 1, block);
+  (void)blk.Write(0, 1, block);
   stack.machine().RunUntilIdle();
   const ukvm::ReqTraceLint lint = stack.machine().reqtrace().Lint();
   EXPECT_GT(lint.completed, 0u);
@@ -356,18 +359,19 @@ TEST(ReqTraceRecovery, KilledBackendShowsRecoveryPhasesOnCriticalPath) {
   config.request_trace.enabled = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
+  auto& blk = stack.guest_os(0).block();
   std::vector<uint8_t> block(front.block_size(), 0xAB);
 
   // Kill the storage VM while the write is waiting on the ring; the write
   // journals, the restart reconnects and replays it.
   stack.machine().ScheduleAfter(30 * hwsim::kCyclesPerUs, [&] { (void)stack.KillStorage(); });
-  const Err err = front.Write(0, 1, block);
+  const Err err = blk.Write(0, 1, block);
   EXPECT_NE(err, Err::kNone);
   stack.machine().RunUntilIdle();
-  EXPECT_GT(front.journal_depth(), 0u);
+  EXPECT_GT(blk.journal_depth(), 0u);
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   stack.machine().RunUntilIdle();
-  EXPECT_EQ(front.journal_depth(), 0u);
+  EXPECT_EQ(blk.journal_depth(), 0u);
 
   // The replayed request completed, lints clean (its severed handoffs were
   // forgiven), and its retained DAG names the recovery phases.

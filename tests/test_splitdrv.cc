@@ -10,6 +10,7 @@
 #include "src/hw/disk.h"
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"
+#include "src/os/block_client.h"
 #include "src/os/netstack.h"
 #include "src/stacks/blksplit.h"
 #include "src/stacks/netsplit.h"
@@ -210,16 +211,17 @@ TEST_F(SplitDrvTest, BlkRoundTripThroughGrantMapping) {
   ustack::BlkBack back(machine_, hv_, dom0_, *disk_driver_, /*slice_blocks=*/1024, dom0_mux_);
   ustack::BlkFront front(machine_, hv_, guest_, GuestPfns(200, 208), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
-  EXPECT_EQ(front.capacity_blocks(), 1024u);
-  EXPECT_EQ(front.block_size(), 512u);
+  minios::BlockClient blk(machine_, front);
+  EXPECT_EQ(blk.capacity_blocks(), 1024u);
+  EXPECT_EQ(blk.block_size(), 512u);
 
   std::vector<uint8_t> data(2048);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>(i * 7);
   }
-  ASSERT_EQ(front.Write(10, 4, data), Err::kNone);
+  ASSERT_EQ(blk.Write(10, 4, data), Err::kNone);
   std::vector<uint8_t> back_data(2048);
-  ASSERT_EQ(front.Read(10, 4, back_data), Err::kNone);
+  ASSERT_EQ(blk.Read(10, 4, back_data), Err::kNone);
   EXPECT_EQ(back_data, data);
   EXPECT_EQ(back.requests_served(), 2u);
 }
@@ -230,10 +232,12 @@ TEST_F(SplitDrvTest, BlkSlicesAreDisjoint) {
   ustack::PortMux mux2;
   (void)hv_.HcSetUpcall(*guest2, mux2.AsUpcall());
 
-  ustack::BlkFront f1(machine_, hv_, guest_, GuestPfns(200, 204), guest_mux_);
-  ASSERT_EQ(f1.Connect(back), Err::kNone);
-  ustack::BlkFront f2(machine_, hv_, *guest2, {0, 1, 2, 3}, mux2);
-  ASSERT_EQ(f2.Connect(back), Err::kNone);
+  ustack::BlkFront front1(machine_, hv_, guest_, GuestPfns(200, 204), guest_mux_);
+  ASSERT_EQ(front1.Connect(back), Err::kNone);
+  ustack::BlkFront front2(machine_, hv_, *guest2, {0, 1, 2, 3}, mux2);
+  ASSERT_EQ(front2.Connect(back), Err::kNone);
+  minios::BlockClient f1(machine_, front1);
+  minios::BlockClient f2(machine_, front2);
 
   std::vector<uint8_t> a(512, 0xAA);
   std::vector<uint8_t> b(512, 0xBB);
@@ -250,9 +254,10 @@ TEST_F(SplitDrvTest, BlkOutOfSliceRejected) {
   ustack::BlkBack back(machine_, hv_, dom0_, *disk_driver_, /*slice_blocks=*/64, dom0_mux_);
   ustack::BlkFront front(machine_, hv_, guest_, GuestPfns(200, 204), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
+  minios::BlockClient blk(machine_, front);
   std::vector<uint8_t> buf(512);
-  EXPECT_NE(front.Read(64, 1, buf), Err::kNone);
-  EXPECT_NE(front.Write(63, 2, std::vector<uint8_t>(1024)), Err::kNone);
+  EXPECT_NE(blk.Read(64, 1, buf), Err::kNone);
+  EXPECT_NE(blk.Write(63, 2, std::vector<uint8_t>(1024)), Err::kNone);
 }
 
 TEST_F(SplitDrvTest, BlkRequestsToDeadBackendFail) {
@@ -260,8 +265,9 @@ TEST_F(SplitDrvTest, BlkRequestsToDeadBackendFail) {
   ustack::BlkFront front(machine_, hv_, guest_, GuestPfns(200, 204), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
   ASSERT_EQ(hv_.DestroyDomain(dom0_), Err::kNone);
+  minios::BlockClient blk(machine_, front);
   std::vector<uint8_t> buf(512);
-  EXPECT_EQ(front.Read(0, 1, buf), Err::kDead);
+  EXPECT_EQ(blk.Read(0, 1, buf), Err::kDead);
 }
 
 }  // namespace

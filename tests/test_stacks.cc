@@ -512,15 +512,15 @@ TEST(CrossStack, MultiPageBlockRequestRoundTrips) {
   };
   {
     ustack::NativeStack stack;
-    round_trip(*stack.port().block());
+    round_trip(stack.os().block());
   }
   {
     ustack::UkernelStack stack;
-    round_trip(*stack.guest(0).port->block());
+    round_trip(stack.guest_os(0).block());
   }
   {
     ustack::VmmStack stack;
-    round_trip(*stack.guest_port(0).block());
+    round_trip(stack.guest_os(0).block());
   }
 }
 
