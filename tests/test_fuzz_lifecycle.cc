@@ -561,17 +561,43 @@ uint64_t SeedCount() {
 
 using FuzzFn = FuzzResult (*)(uint64_t, uint32_t, bool);
 
-void RunSeedBank(FuzzFn fn, const char* stack) {
-  const uint64_t seeds = SeedCount();
+// Totals a bank's fast-path counters over its seeds' first runs.
+struct BankTotals {
+  uint64_t taken = 0;
+  uint64_t replywait = 0;
+};
+
+// Runs `fn` twice per seed: every run auditor-clean, both runs digest-equal.
+BankTotals RunSeedBank(FuzzFn fn, const std::string& stack, uint64_t seeds, uint32_t steps,
+                       bool incremental_tlb) {
+  BankTotals totals;
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    const FuzzResult first = fn(seed, kSteps, /*incremental_tlb=*/true);
-    SCOPED_TRACE(std::string(stack) + " seed " + std::to_string(seed));
+    SCOPED_TRACE(stack + " seed " + std::to_string(seed));
+    const FuzzResult first = fn(seed, steps, incremental_tlb);
     for (const std::string& report : first.reports) {
       ADD_FAILURE() << report;
     }
     EXPECT_EQ(first.violations, 0u);
-    const FuzzResult second = fn(seed, kSteps, /*incremental_tlb=*/true);
+    const FuzzResult second = fn(seed, steps, incremental_tlb);
     EXPECT_EQ(first.digest, second.digest) << "nondeterministic run";
+    totals.taken += first.fastpath_taken;
+    totals.replywait += first.fastpath_replywait;
+  }
+  return totals;
+}
+
+void RunSeedBank(FuzzFn fn, const char* stack) {
+  (void)RunSeedBank(fn, stack, SeedCount(), kSteps, /*incremental_tlb=*/true);
+}
+
+// A fast-path bank must actually exercise its paths (otherwise it proves
+// nothing): the full family coalesces reply-waits, Call-only never does.
+void ExpectFastpathExercised(const BankTotals& totals, const char* label, bool family) {
+  EXPECT_GT(totals.taken, 0u) << label << ": the fast path never fired across the whole bank";
+  if (family) {
+    EXPECT_GT(totals.replywait, 0u) << "reply-wait coalescing never fired across the bank";
+  } else {
+    EXPECT_EQ(totals.replywait, 0u) << "call-only must never coalesce";
   }
 }
 
@@ -582,43 +608,14 @@ TEST(FuzzLifecycle, UkernelSeedBankCleanAndDeterministic) {
 }
 
 // E21/E23: the same bank with the IPC fast path armed, in both feature
-// configurations (full family and the E21 Call-only subset) — every seed
-// must stay auditor-clean and two-run deterministic, and each configuration
-// must actually exercise its paths (otherwise this test proves nothing).
+// configurations (full family and the E21 Call-only subset).
 TEST(FuzzLifecycle, UkernelFastpathSeedBankCleanAndDeterministic) {
-  const uint64_t seeds = SeedCount();
-  struct Config {
-    const char* label;
-    FuzzFn fn;
-  };
-  const Config configs[] = {
-      {"family", RunUkernelFastpathFuzz},
-      {"call-only", RunUkernelCallOnlyFuzz},
-  };
-  for (const Config& config : configs) {
-    uint64_t taken = 0;
-    uint64_t replywait = 0;
-    for (uint64_t seed = 1; seed <= seeds; ++seed) {
-      SCOPED_TRACE(std::string("ukernel-fastpath-") + config.label + " seed " +
-                   std::to_string(seed));
-      const FuzzResult first = config.fn(seed, kSteps, /*incremental_tlb=*/true);
-      for (const std::string& report : first.reports) {
-        ADD_FAILURE() << report;
-      }
-      EXPECT_EQ(first.violations, 0u);
-      const FuzzResult second = config.fn(seed, kSteps, /*incremental_tlb=*/true);
-      EXPECT_EQ(first.digest, second.digest) << "nondeterministic run";
-      taken += first.fastpath_taken;
-      replywait += first.fastpath_replywait;
-    }
-    EXPECT_GT(taken, 0u) << config.label
-                         << ": the fast path never fired across the whole bank";
-    if (std::string(config.label) == "family") {
-      EXPECT_GT(replywait, 0u) << "reply-wait coalescing never fired across the bank";
-    } else {
-      EXPECT_EQ(replywait, 0u) << "call-only must never coalesce";
-    }
-  }
+  ExpectFastpathExercised(RunSeedBank(RunUkernelFastpathFuzz, "ukernel-fastpath-family",
+                                      SeedCount(), kSteps, /*incremental_tlb=*/true),
+                          "family", /*family=*/true);
+  ExpectFastpathExercised(RunSeedBank(RunUkernelCallOnlyFuzz, "ukernel-fastpath-call-only",
+                                      SeedCount(), kSteps, /*incremental_tlb=*/true),
+                          "call-only", /*family=*/false);
 }
 
 TEST(FuzzLifecycle, VmmSeedBankCleanAndDeterministic) { RunSeedBank(RunVmmFuzz, "vmm"); }
@@ -817,18 +814,10 @@ FuzzResult RunVmmDom0RecoveryFuzz(uint64_t seed, uint32_t steps, bool) {
 // UKVM_FUZZ_SEEDS sweep scales it proportionally.
 constexpr uint32_t kRecoverySteps = 96;
 
+uint64_t RecoverySeedCount() { return std::max<uint64_t>(4, SeedCount() / 4); }
+
 void RunRecoverySeedBank(FuzzFn fn, const char* stack) {
-  const uint64_t seeds = std::max<uint64_t>(4, SeedCount() / 4);
-  for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    SCOPED_TRACE(std::string(stack) + " seed " + std::to_string(seed));
-    const FuzzResult first = fn(seed, kRecoverySteps, false);
-    for (const std::string& report : first.reports) {
-      ADD_FAILURE() << report;
-    }
-    EXPECT_EQ(first.violations, 0u);
-    const FuzzResult second = fn(seed, kRecoverySteps, false);
-    EXPECT_EQ(first.digest, second.digest) << "nondeterministic run";
-  }
+  (void)RunSeedBank(fn, stack, RecoverySeedCount(), kRecoverySteps, false);
 }
 
 TEST(FuzzRecovery, UkernelSeedBankCleanAndDeterministic) {
@@ -836,40 +825,13 @@ TEST(FuzzRecovery, UkernelSeedBankCleanAndDeterministic) {
 }
 
 TEST(FuzzRecovery, UkernelFastpathSeedBankCleanAndDeterministic) {
-  const uint64_t seeds = std::max<uint64_t>(4, SeedCount() / 4);
-  struct Config {
-    const char* label;
-    FuzzFn fn;
-    bool family;
-  };
-  const Config configs[] = {
-      {"family", RunUkernelFastpathRecoveryFuzz, true},
-      {"call-only", RunUkernelCallOnlyRecoveryFuzz, false},
-  };
-  for (const Config& config : configs) {
-    uint64_t taken = 0;
-    uint64_t replywait = 0;
-    for (uint64_t seed = 1; seed <= seeds; ++seed) {
-      SCOPED_TRACE(std::string("ukernel-fastpath-") + config.label + " seed " +
-                   std::to_string(seed));
-      const FuzzResult first = config.fn(seed, kRecoverySteps, false);
-      for (const std::string& report : first.reports) {
-        ADD_FAILURE() << report;
-      }
-      EXPECT_EQ(first.violations, 0u);
-      const FuzzResult second = config.fn(seed, kRecoverySteps, false);
-      EXPECT_EQ(first.digest, second.digest) << "nondeterministic run";
-      taken += first.fastpath_taken;
-      replywait += first.fastpath_replywait;
-    }
-    EXPECT_GT(taken, 0u) << config.label
-                         << ": the fast path never fired across the whole bank";
-    if (config.family) {
-      EXPECT_GT(replywait, 0u) << "reply-wait coalescing never fired across the bank";
-    } else {
-      EXPECT_EQ(replywait, 0u) << "call-only must never coalesce";
-    }
-  }
+  ExpectFastpathExercised(RunSeedBank(RunUkernelFastpathRecoveryFuzz, "ukernel-fastpath-family",
+                                      RecoverySeedCount(), kRecoverySteps, false),
+                          "family", /*family=*/true);
+  ExpectFastpathExercised(
+      RunSeedBank(RunUkernelCallOnlyRecoveryFuzz, "ukernel-fastpath-call-only",
+                  RecoverySeedCount(), kRecoverySteps, false),
+      "call-only", /*family=*/false);
 }
 
 TEST(FuzzRecovery, VmmParallaxSeedBankCleanAndDeterministic) {

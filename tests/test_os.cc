@@ -5,10 +5,15 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <ostream>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/hw/machine.h"
+#include "src/os/block_client.h"
 #include "src/os/netstack.h"
 #include "src/os/vfs.h"
 #include "src/stacks/native_stack.h"
@@ -214,70 +219,9 @@ TEST_F(OsTest, MountRejectsUnformattedDevice) {
   EXPECT_EQ(vfs.Mount(), Err::kInvalidArgument);
 }
 
-// A block device with a chosen geometry that counts every access, so a test
-// can tell that the VFS refused it without touching a single block.
-class GeometryDevice : public BlockDevice {
- public:
-  GeometryDevice(uint32_t block_size, uint64_t capacity_blocks)
-      : block_size_(block_size), capacity_(capacity_blocks) {}
-
-  uint32_t block_size() const override { return block_size_; }
-  uint64_t capacity_blocks() const override { return capacity_; }
-  Err Read(uint64_t lba, uint32_t count, std::span<uint8_t> out) override {
-    ++accesses;
-    return Check(lba, count, out.size());
-  }
-  Err Write(uint64_t lba, uint32_t count, std::span<const uint8_t> in) override {
-    ++accesses;
-    return Check(lba, count, in.size());
-  }
-
-  int accesses = 0;
-
- private:
-  Err Check(uint64_t lba, uint32_t count, size_t bytes) const {
-    if (lba + count > capacity_ || bytes < uint64_t{count} * block_size_) {
-      return Err::kOutOfRange;
-    }
-    return Err::kNone;
-  }
-
-  uint32_t block_size_;
-  uint64_t capacity_;
-};
-
-TEST(VfsGeometry, ZeroBlockSizeIsInvalidArgument) {
-  // A block-server slice past the end of the disk reports block_size() == 0;
-  // the layout math would divide by zero and copy the superblock into an
-  // empty buffer.
-  GeometryDevice dev(/*block_size=*/0, /*capacity_blocks=*/0);
-  Vfs vfs(dev);
-  EXPECT_EQ(vfs.Format(), Err::kInvalidArgument);
-  EXPECT_EQ(vfs.Mount(), Err::kInvalidArgument);
-  EXPECT_FALSE(vfs.mounted());
-  EXPECT_EQ(dev.accesses, 0);
-}
-
-TEST(VfsGeometry, TooSmallCapacityIsInvalidArgument) {
-  // 512-byte blocks: superblock, 16 inode-table blocks and one bitmap block
-  // come before the first data block, so 18 blocks hold no data at all.
-  for (const uint64_t capacity : {uint64_t{2}, uint64_t{18}}) {
-    GeometryDevice dev(512, capacity);
-    Vfs vfs(dev);
-    EXPECT_EQ(vfs.Format(), Err::kInvalidArgument) << capacity;
-    EXPECT_EQ(vfs.Mount(), Err::kInvalidArgument) << capacity;
-    EXPECT_EQ(dev.accesses, 0) << capacity;
-  }
-  // One data block more and the layout fits.
-  GeometryDevice dev(512, 19);
-  Vfs vfs(dev);
-  EXPECT_EQ(vfs.Format(), Err::kNone);
-}
-
-// --- VFS block traffic ---------------------------------------------------------------
-
 // A RAM-backed block device that logs every call, so a test can pin the
-// block traffic of each VFS operation and digest the resulting image.
+// block traffic of each VFS operation (or see that it made none) and
+// digest the resulting image.
 class RamDevice : public BlockDevice {
  public:
   struct Call {
@@ -310,6 +254,9 @@ class RamDevice : public BlockDevice {
     if (lba + count > capacity_ || in.size() < uint64_t{count} * block_size_) {
       return Err::kOutOfRange;
     }
+    if (lba + count > fail_writes_from) {
+      return Err::kCorrupted;
+    }
     std::memcpy(image_.data() + lba * block_size_, in.data(), uint64_t{count} * block_size_);
     return Err::kNone;
   }
@@ -317,6 +264,8 @@ class RamDevice : public BlockDevice {
   const std::vector<uint8_t>& image() const { return image_; }
 
   std::vector<Call> calls;
+  // Writes that reach this block or any above it fail.
+  uint64_t fail_writes_from = UINT64_MAX;
 
  private:
   uint32_t block_size_;
@@ -341,11 +290,53 @@ std::vector<uint8_t> Pattern(size_t n, uint8_t seed) {
   return out;
 }
 
+TEST(VfsGeometry, ZeroBlockSizeIsInvalidArgument) {
+  // A block-server slice past the end of the disk reports block_size() == 0;
+  // the layout math would divide by zero and copy the superblock into an
+  // empty buffer.
+  RamDevice dev(/*block_size=*/0, /*capacity_blocks=*/0);
+  Vfs vfs(dev);
+  EXPECT_EQ(vfs.Format(), Err::kInvalidArgument);
+  EXPECT_EQ(vfs.Mount(), Err::kInvalidArgument);
+  EXPECT_FALSE(vfs.mounted());
+  EXPECT_TRUE(dev.calls.empty());
+}
+
+TEST(VfsGeometry, TooSmallCapacityIsInvalidArgument) {
+  // 512-byte blocks: superblock, 16 inode-table blocks and one bitmap block
+  // come before the first data block, so 18 blocks hold no data at all.
+  for (const uint64_t capacity : {uint64_t{2}, uint64_t{18}}) {
+    RamDevice dev(512, capacity);
+    Vfs vfs(dev);
+    EXPECT_EQ(vfs.Format(), Err::kInvalidArgument) << capacity;
+    EXPECT_EQ(vfs.Mount(), Err::kInvalidArgument) << capacity;
+    EXPECT_TRUE(dev.calls.empty()) << capacity;
+  }
+  // One data block more and the layout fits.
+  RamDevice dev(512, 19);
+  Vfs vfs(dev);
+  EXPECT_EQ(vfs.Format(), Err::kNone);
+}
+
+// --- VFS block traffic ---------------------------------------------------------------
+
 // 512-byte blocks: superblock, 16 inode-table blocks (4 inodes each), then
 // one bitmap block while the device holds at most 4096 blocks.
 constexpr uint64_t kTableBlocks = 16;
 constexpr uint64_t kBitmapLba = 1 + kTableBlocks;
 constexpr uint64_t kDataLba = kBitmapLba + 1;
+
+// Writes one-block files until the disk is full; returns how many took.
+uint64_t FillWithBlockFiles(Vfs& vfs) {
+  const auto block = Pattern(512, 7);
+  for (uint64_t files = 0;; ++files) {
+    const uint32_t idx = *vfs.Create("b" + std::to_string(files));
+    if (auto n = vfs.WriteAt(idx, 0, block); !n.ok()) {
+      EXPECT_EQ(n.error(), Err::kNoMemory);
+      return files;
+    }
+  }
+}
 
 TEST(VfsTraffic, CreateReadsEachInodeTableBlockOnce) {
   RamDevice dev(512, 256);
@@ -454,18 +445,7 @@ TEST(VfsTraffic, FullDiskWriteFailsWithoutLeakingBlocks) {
   for (const char* name : {"f0", "f1", "f2"}) {
     ASSERT_EQ(vfs.Unlink(name), Err::kNone) << name;
   }
-
-  // Every data block is free again: 16 + 16 + 8 blocks fill the disk.
-  uint64_t written = 0;
-  for (const auto& [name, bytes] : {std::pair{"g0", 8192}, {"g1", 8192}, {"g2", 4096}}) {
-    const uint32_t idx = *vfs.Create(name);
-    auto n = vfs.WriteAt(idx, 0, std::span(data).first(static_cast<size_t>(bytes)));
-    ASSERT_TRUE(n.ok()) << name;
-    written += *n;
-  }
-  EXPECT_EQ(written, 40u * 512);
-  const uint32_t extra = *vfs.Create("g3");
-  EXPECT_EQ(vfs.WriteAt(extra, 0, std::span(data).first(1)).error(), Err::kNoMemory);
+  EXPECT_EQ(FillWithBlockFiles(vfs), 40u);  // every data block is free again
 }
 
 TEST(VfsNames, NameWithoutNulStaysInsideItsInode) {
@@ -531,6 +511,130 @@ TEST(VfsTraffic, ScriptLeavesTheRecordedImage) {
   const std::vector<uint8_t>& image = dev.image();
   EXPECT_TRUE(std::all_of(image.begin() + 20, image.begin() + 24, [](uint8_t b) { return b == 0; }));
   EXPECT_EQ(Fnv(image), 0x32560768c3a12bd3ull);
+}
+
+// --- The block client over a scripted port ---------------------------------------
+
+// A port over a RamDevice that carries at most 3 blocks per request and
+// ends the submits a test scripts. Like a backend with a recovery log, it
+// applies each journaled id at most once.
+class FakePort : public BlockPort {
+ public:
+  explicit FakePort(RamDevice& dev) : dev_(dev) {}
+
+  uint32_t block_size() const override { return dev_.block_size(); }
+  uint64_t capacity_blocks() const override { return dev_.capacity_blocks(); }
+  uint32_t max_blocks() const override { return 3; }
+  ukvm::DomainId domain() const override { return ukvm::DomainId{7}; }
+  Err Ready() override { return Err::kNone; }
+
+  BlockCompletion Submit(const BlockRequest& req) override {
+    seen.push_back(req);
+    const auto it = outcomes.find(seen.size());
+    const BlockCompletion done = it == outcomes.end() ? BlockCompletion{} : it->second;
+    if (done.status == Err::kNone && (!req.journaled || applied_.insert(req.id).second)) {
+      (void)(req.write ? dev_.Write(req.lba, req.count, req.in)
+                       : dev_.Read(req.lba, req.count, req.out));
+    }
+    if (done.answered && req.on_answer) {
+      req.on_answer(done);
+    }
+    return done;
+  }
+
+  std::vector<BlockRequest> seen;
+  std::map<size_t, BlockCompletion> outcomes;  // by 1-based submit number
+
+ private:
+  RamDevice& dev_;
+  std::set<uint64_t> applied_;
+};
+
+class BlockClientTest : public ::testing::Test {
+ protected:
+  BlockClientTest() : machine_(hwsim::MakeX86Platform(), 4ull * 1024 * 1024), dev_(64, 32) {
+    ukvm::ReqTraceConfig config;
+    config.enabled = true;
+    machine_.EnableRequestTracing(config);
+  }
+
+  // Origin names of the completed requests the tracer retained.
+  std::vector<std::string> CompletedOrigins() {
+    std::vector<std::string> names;
+    for (const ukvm::CompletedRequest& req : machine_.reqtrace().slowest()) {
+      names.push_back(machine_.names().Name(req.nodes[0].name));
+    }
+    return names;
+  }
+
+  hwsim::Machine machine_;
+  RamDevice dev_;
+  FakePort port_{dev_};
+  BlockClient client_{machine_, port_};
+  const BlockCompletion lost_{Err::kDead, /*answered=*/false};
+};
+
+TEST_F(BlockClientTest, EightBlockWriteIsThreeSubmitsAndThreeOrigins) {
+  const auto data = Pattern(8 * 64, 1);
+  ASSERT_EQ(client_.Write(4, 8, data), Err::kNone);
+  const std::vector<RamDevice::Call> want = {{true, 4, 3}, {true, 7, 3}, {true, 10, 2}};
+  EXPECT_EQ(dev_.calls, want);
+  EXPECT_EQ(machine_.reqtrace().requests_started(), 3u);
+  EXPECT_EQ(CompletedOrigins(), std::vector<std::string>(3, "blk.write"));
+
+  std::vector<uint8_t> back(data.size());
+  ASSERT_EQ(client_.Read(4, 8, back), Err::kNone);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(port_.seen.size(), 6u);
+  const std::vector<std::string> origins = CompletedOrigins();
+  EXPECT_EQ(std::count(origins.begin(), origins.end(), "blk.read"), 3);
+}
+
+TEST_F(BlockClientTest, FailedSecondChunkAbandonsOnlyItsRequest) {
+  port_.outcomes[2] = BlockCompletion{Err::kCorrupted, /*answered=*/true};
+  EXPECT_EQ(client_.Write(0, 8, Pattern(8 * 64, 2)), Err::kCorrupted);
+  EXPECT_EQ(port_.seen.size(), 2u);  // the third chunk is never sent
+  EXPECT_EQ(machine_.reqtrace().requests_completed(), 1u);
+  EXPECT_EQ(machine_.reqtrace().requests_abandoned(), 1u);
+  EXPECT_EQ(client_.journal_depth(), 0u);
+}
+
+TEST_F(BlockClientTest, UnansweredWritesReplayOnceInIdOrder) {
+  client_.SetCrashRecovery(true);
+  port_.outcomes[2] = lost_;  // write A's second chunk
+  port_.outcomes[3] = lost_;  // write B
+  const auto a = Pattern(8 * 64, 10);
+  const auto b = Pattern(64, 20);
+  EXPECT_EQ(client_.Write(0, 8, a), Err::kDead);
+  EXPECT_EQ(client_.Write(16, 1, b), Err::kDead);
+  EXPECT_EQ(client_.journal_depth(), 2u);
+  EXPECT_EQ(client_.writes_acked_ok(), 1u);
+  // An unanswered journaled request stays live for its replay.
+  EXPECT_EQ(machine_.reqtrace().requests_abandoned(), 0u);
+
+  EXPECT_EQ(client_.ReplayJournal(RecoveryPhases{}), 2u);
+  ASSERT_EQ(port_.seen.size(), 5u);
+  EXPECT_EQ(port_.seen[3].id, port_.seen[1].id);  // original ids, in id order
+  EXPECT_EQ(port_.seen[4].id, port_.seen[2].id);
+  EXPECT_LT(port_.seen[3].id, port_.seen[4].id);
+  EXPECT_TRUE(port_.seen[3].journaled && port_.seen[4].journaled);
+  EXPECT_EQ(client_.journal_depth(), 0u);
+  EXPECT_EQ(client_.writes_acked_ok(), 3u);
+  EXPECT_EQ(machine_.reqtrace().requests_completed(), 3u);
+  // Exactly once: a second replay sends nothing.
+  EXPECT_EQ(client_.ReplayJournal(RecoveryPhases{}), 0u);
+  EXPECT_EQ(port_.seen.size(), 5u);
+  const std::vector<RamDevice::Call> want = {{true, 0, 3}, {true, 3, 3}, {true, 16, 1}};
+  EXPECT_EQ(dev_.calls, want);
+
+  // A replay the backend leaves unanswered keeps the rest of the journal.
+  for (const size_t submit : {6, 7, 8}) {
+    port_.outcomes[submit] = lost_;
+  }
+  EXPECT_EQ(client_.Write(20, 1, b), Err::kDead);
+  EXPECT_EQ(client_.Write(21, 1, b), Err::kDead);
+  EXPECT_EQ(client_.ReplayJournal(RecoveryPhases{}), 0u);
+  EXPECT_EQ(client_.journal_depth(), 2u);
 }
 
 // --- Cooperative multi-process scheduling --------------------------------------
