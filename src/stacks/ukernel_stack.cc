@@ -216,7 +216,7 @@ Err UkernelStack::RestartBlockServer() {
       g->port->SetBlockServer(block_server_->thread());
       if (g->xenbus != nullptr) {
         g->xenbus->OnReconnected();
-        g->xenbus->OnReplayed(g->os->block().ReplayJournal(minios::RecoveryPhases{}));
+        g->xenbus->OnReplayed(g->os->block().ReplayJournal(g->xenbus->last_phases()));
       }
     }
   }

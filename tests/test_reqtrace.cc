@@ -351,6 +351,29 @@ TEST(ReqTraceMutation, DroppedUpcallAdoptionLeavesRequestUnparented) {
 
 // --- Recovery attribution --------------------------------------------------------
 
+// The replayed request completed, lints clean (its severed handoffs were
+// forgiven), its retained DAG names the recovery phases, and the recovery
+// time dominates its breakdown.
+void ExpectReplayedRequestShowsRecovery(const ukvm::RequestTrace& rt) {
+  const ukvm::ReqTraceLint lint = rt.Lint();
+  EXPECT_GT(lint.completed, 0u);
+  EXPECT_EQ(lint.orphaned_handoffs, 0u);
+  EXPECT_EQ(lint.completed, lint.fully_parented);
+
+  const std::string report = rt.SlowestReport();
+  EXPECT_NE(report.find("recovery.detect"), std::string::npos) << report;
+  EXPECT_NE(report.find("recovery.reconnect"), std::string::npos) << report;
+  EXPECT_NE(report.find("recovery.replay"), std::string::npos) << report;
+
+  bool recovery_attributed = false;
+  for (const ukvm::CompletedRequest& req : rt.slowest()) {
+    if (req.breakdown[static_cast<size_t>(ukvm::ReqNodeKind::kRecovery)] > 0) {
+      recovery_attributed = true;
+    }
+  }
+  EXPECT_TRUE(recovery_attributed);
+}
+
 TEST(ReqTraceRecovery, KilledBackendShowsRecoveryPhasesOnCriticalPath) {
   ustack::VmmStack::Config config;
   config.parallax_storage = true;
@@ -358,42 +381,40 @@ TEST(ReqTraceRecovery, KilledBackendShowsRecoveryPhasesOnCriticalPath) {
   config.trace.enabled = true;
   config.request_trace.enabled = true;
   ustack::VmmStack stack(config);
-  auto& front = *stack.guest(0).blkfront;
   auto& blk = stack.guest_os(0).block();
-  std::vector<uint8_t> block(front.block_size(), 0xAB);
+  std::vector<uint8_t> block(blk.block_size(), 0xAB);
 
   // Kill the storage VM while the write is waiting on the ring; the write
   // journals, the restart reconnects and replays it.
   stack.machine().ScheduleAfter(30 * hwsim::kCyclesPerUs, [&] { (void)stack.KillStorage(); });
-  const Err err = blk.Write(0, 1, block);
-  EXPECT_NE(err, Err::kNone);
+  EXPECT_NE(blk.Write(0, 1, block), Err::kNone);
   stack.machine().RunUntilIdle();
   EXPECT_GT(blk.journal_depth(), 0u);
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   stack.machine().RunUntilIdle();
   EXPECT_EQ(blk.journal_depth(), 0u);
+  ExpectReplayedRequestShowsRecovery(stack.machine().reqtrace());
+}
 
-  // The replayed request completed, lints clean (its severed handoffs were
-  // forgiven), and its retained DAG names the recovery phases.
-  const ukvm::ReqTraceLint lint = stack.machine().reqtrace().Lint();
-  EXPECT_GT(lint.completed, 0u);
-  EXPECT_EQ(lint.orphaned_handoffs, 0u);
-  EXPECT_EQ(lint.completed, lint.fully_parented);
+TEST(ReqTraceRecovery, KilledBlockServerShowsRecoveryPhasesOnCriticalPath) {
+  ustack::UkernelStack::Config config;
+  config.crash_recovery = true;
+  config.trace.enabled = true;
+  config.request_trace.enabled = true;
+  ustack::UkernelStack stack(config);
+  auto& blk = stack.guest_os(0).block();
+  std::vector<uint8_t> block(blk.block_size(), 0xCD);
 
-  const std::string report = stack.machine().reqtrace().SlowestReport();
-  EXPECT_NE(report.find("recovery.detect"), std::string::npos) << report;
-  EXPECT_NE(report.find("recovery.reconnect"), std::string::npos) << report;
-  EXPECT_NE(report.find("recovery.replay"), std::string::npos) << report;
-
-  // And the recovery time dominates the request's breakdown: the e2e
-  // histogram saw it, and some retained request charges kRecovery cycles.
-  bool recovery_attributed = false;
-  for (const ukvm::CompletedRequest& req : stack.machine().reqtrace().slowest()) {
-    if (req.breakdown[static_cast<size_t>(ukvm::ReqNodeKind::kRecovery)] > 0) {
-      recovery_attributed = true;
-    }
-  }
-  EXPECT_TRUE(recovery_attributed);
+  // Kill the block server while it waits on the disk for the write; the
+  // write journals, the restart reconnects and replays it.
+  stack.machine().ScheduleAfter(30 * hwsim::kCyclesPerUs,
+                                [&] { (void)stack.KillBlockServer(); });
+  EXPECT_EQ(blk.Write(0, 1, block), Err::kDead);
+  stack.machine().RunUntilIdle();
+  EXPECT_EQ(blk.journal_depth(), 1u);
+  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
+  EXPECT_EQ(blk.journal_depth(), 0u);
+  ExpectReplayedRequestShowsRecovery(stack.machine().reqtrace());
 }
 
 }  // namespace
