@@ -305,40 +305,52 @@ Result<uint32_t> Vfs::WriteAt(uint32_t inode_idx, uint64_t offset, std::span<con
   // Allocate any blocks the write will touch beyond the current allocation.
   const uint64_t have_blocks = (inode.size + bs - 1) / bs;
   const uint64_t need_blocks = (offset + in.size() + bs - 1) / bs;
+  std::vector<uint32_t> fresh;
   if (need_blocks > have_blocks) {
-    auto fresh = AllocBlocks(need_blocks - have_blocks);
-    UKVM_TRY(fresh);
-    std::copy(fresh->begin(), fresh->end(), inode.blocks + have_blocks);
+    auto got = AllocBlocks(need_blocks - have_blocks);
+    UKVM_TRY(got);
+    fresh = std::move(*got);
+    std::copy(fresh.begin(), fresh.end(), inode.blocks + have_blocks);
   }
-  const uint64_t end = offset + in.size();
-  std::vector<uint8_t> extent;
-  for (auto blk = static_cast<uint32_t>(offset / bs); !in.empty() && blk < need_blocks;) {
-    const uint32_t n = ExtentLength(inode.blocks, blk, static_cast<uint32_t>(need_blocks - 1));
-    extent.resize(uint64_t{n} * bs);
-    const uint64_t extent_start = uint64_t{blk} * bs;
-    const uint64_t extent_end = extent_start + extent.size();
-    // An edge block the write covers only in part keeps its other bytes:
-    // read-modify-write, in one request when both edges are in it.
-    const bool head = offset > extent_start;
-    const bool tail = end < extent_end;
-    if (head && tail && n <= 2) {
-      UKVM_TRY(dev_.Read(inode.blocks[blk], n, extent));
-    } else {
-      if (head) {
-        UKVM_TRY(dev_.Read(inode.blocks[blk], 1, std::span(extent).first(bs)));
+  // The data, then the inode that points at it. Until the inode lands
+  // nothing on disk points at the fresh blocks, so a failure frees them.
+  const Err err = [&]() -> Err {
+    const uint64_t end = offset + in.size();
+    std::vector<uint8_t> extent;
+    for (auto blk = static_cast<uint32_t>(offset / bs); !in.empty() && blk < need_blocks;) {
+      const uint32_t n = ExtentLength(inode.blocks, blk, static_cast<uint32_t>(need_blocks - 1));
+      extent.resize(uint64_t{n} * bs);
+      const uint64_t extent_start = uint64_t{blk} * bs;
+      const uint64_t extent_end = extent_start + extent.size();
+      // An edge block the write covers only in part keeps its other bytes:
+      // read-modify-write, in one request when both edges are in it.
+      const bool head = offset > extent_start;
+      const bool tail = end < extent_end;
+      if (head && tail && n <= 2) {
+        UKVM_TRY(dev_.Read(inode.blocks[blk], n, extent));
+      } else {
+        if (head) {
+          UKVM_TRY(dev_.Read(inode.blocks[blk], 1, std::span(extent).first(bs)));
+        }
+        if (tail) {
+          UKVM_TRY(dev_.Read(inode.blocks[blk + n - 1], 1, std::span(extent).last(bs)));
+        }
       }
-      if (tail) {
-        UKVM_TRY(dev_.Read(inode.blocks[blk + n - 1], 1, std::span(extent).last(bs)));
-      }
+      const uint64_t from = std::max(offset, extent_start);
+      const uint64_t to = std::min(end, extent_end);
+      std::memcpy(extent.data() + (from - extent_start), in.data() + (from - offset), to - from);
+      UKVM_TRY(dev_.Write(inode.blocks[blk], n, extent));
+      blk += n;
     }
-    const uint64_t from = std::max(offset, extent_start);
-    const uint64_t to = std::min(end, extent_end);
-    std::memcpy(extent.data() + (from - extent_start), in.data() + (from - offset), to - from);
-    UKVM_TRY(dev_.Write(inode.blocks[blk], n, extent));
-    blk += n;
+    inode.size = std::max<uint64_t>(inode.size, end);
+    return StoreInode(*held);
+  }();
+  if (err != Err::kNone) {
+    if (!fresh.empty()) {
+      (void)FreeBlocks(fresh);
+    }
+    return err;
   }
-  inode.size = std::max<uint64_t>(inode.size, end);
-  UKVM_TRY(StoreInode(*held));
   return static_cast<uint32_t>(in.size());
 }
 

@@ -448,6 +448,20 @@ TEST(VfsTraffic, FullDiskWriteFailsWithoutLeakingBlocks) {
   EXPECT_EQ(FillWithBlockFiles(vfs), 40u);  // every data block is free again
 }
 
+TEST(VfsTraffic, FailedDataWriteFreesItsBlocks) {
+  // The bitmap write lands before the data write fails; the blocks it took
+  // must come back (they leaked: 24 of 40 were reusable).
+  RamDevice dev(512, kDataLba + 40);
+  Vfs vfs(dev);
+  ASSERT_EQ(vfs.Format(), Err::kNone);
+  const uint32_t idx = *vfs.Create("f");
+  dev.fail_writes_from = kDataLba;
+  EXPECT_EQ(vfs.WriteAt(idx, 0, Pattern(8192, 5)).error(), Err::kCorrupted);
+  dev.fail_writes_from = UINT64_MAX;
+  ASSERT_EQ(vfs.Unlink("f"), Err::kNone);
+  EXPECT_EQ(FillWithBlockFiles(vfs), 40u);
+}
+
 TEST(VfsNames, NameWithoutNulStaysInsideItsInode) {
   // A block written from outside the filesystem can leave a name with no
   // terminating NUL; reading it must stop at the name field.
