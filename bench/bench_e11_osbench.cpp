@@ -29,22 +29,30 @@ struct OpCost {
 
 struct Bench {
   std::string name;
-  // Runs `iters` of the operation on (os, pid); returns ops done.
-  std::function<uint64_t(minios::Os&, ukvm::ProcessId, int iters)> op;
+  // Untimed setup: opens the row's file (creating and filling it as the
+  // row needs) and returns its fd; rows without a file leave it unset.
+  std::function<int64_t(minios::Os&, ukvm::ProcessId)> setup;
+  // Runs `iters` of the operation on (os, pid, fd); returns ops done.
+  std::function<uint64_t(minios::Os&, ukvm::ProcessId, int64_t fd, int iters)> op;
 };
+
+int64_t OpenOrCreate(minios::Os& os, ukvm::ProcessId pid, const char* file) {
+  const int64_t fd = os.Open(pid, file);
+  return fd >= 0 ? fd : os.Create(pid, file);
+}
 
 std::vector<Bench> MakeBenches() {
   return {
-      {"null syscall",
-       [](minios::Os& os, ukvm::ProcessId pid, int iters) {
+      {"null syscall", nullptr,
+       [](minios::Os& os, ukvm::ProcessId pid, int64_t, int iters) {
          uint64_t done = 0;
          for (int i = 0; i < iters; ++i) {
            done += os.Null(pid) == 0 ? 1 : 0;
          }
          return done;
        }},
-      {"getpid",
-       [](minios::Os& os, ukvm::ProcessId pid, int iters) {
+      {"getpid", nullptr,
+       [](minios::Os& os, ukvm::ProcessId pid, int64_t, int iters) {
          uint64_t done = 0;
          for (int i = 0; i < iters; ++i) {
            done += os.GetPid(pid) >= 0 ? 1 : 0;
@@ -52,10 +60,8 @@ std::vector<Bench> MakeBenches() {
          return done;
        }},
       {"open+close",
-       [](minios::Os& os, ukvm::ProcessId pid, int iters) {
-         if (os.Open(pid, "bench-oc") < 0) {
-           (void)os.Create(pid, "bench-oc");
-         }
+       [](minios::Os& os, ukvm::ProcessId pid) { return OpenOrCreate(os, pid, "bench-oc"); },
+       [](minios::Os& os, ukvm::ProcessId pid, int64_t, int iters) {
          uint64_t done = 0;
          for (int i = 0; i < iters; ++i) {
            const auto fd = os.Open(pid, "bench-oc");
@@ -66,11 +72,8 @@ std::vector<Bench> MakeBenches() {
          return done;
        }},
       {"write 512B (file)",
-       [](minios::Os& os, ukvm::ProcessId pid, int iters) {
-         auto fd = os.Open(pid, "bench-w");
-         if (fd < 0) {
-           fd = os.Create(pid, "bench-w");
-         }
+       [](minios::Os& os, ukvm::ProcessId pid) { return OpenOrCreate(os, pid, "bench-w"); },
+       [](minios::Os& os, ukvm::ProcessId pid, int64_t fd, int iters) {
          std::vector<uint8_t> block(512, 0x5A);
          uint64_t done = 0;
          for (int i = 0; i < iters; ++i) {
@@ -80,13 +83,13 @@ std::vector<Bench> MakeBenches() {
          return done;
        }},
       {"read 512B (file)",
-       [](minios::Os& os, ukvm::ProcessId pid, int iters) {
-         auto fd = os.Open(pid, "bench-r");
-         if (fd < 0) {
-           fd = os.Create(pid, "bench-r");
-         }
-         std::vector<uint8_t> block(512, 0x5A);
-         (void)os.Write(pid, fd, block);
+       [](minios::Os& os, ukvm::ProcessId pid) {
+         const int64_t fd = OpenOrCreate(os, pid, "bench-r");
+         (void)os.Write(pid, fd, std::vector<uint8_t>(512, 0x5A));
+         return fd;
+       },
+       [](minios::Os& os, ukvm::ProcessId pid, int64_t fd, int iters) {
+         std::vector<uint8_t> block(512);
          uint64_t done = 0;
          for (int i = 0; i < iters; ++i) {
            (void)os.Seek(pid, fd, 0);
@@ -94,8 +97,8 @@ std::vector<Bench> MakeBenches() {
          }
          return done;
        }},
-      {"udp send 64B",
-       [](minios::Os& os, ukvm::ProcessId pid, int iters) {
+      {"udp send 64B", nullptr,
+       [](minios::Os& os, ukvm::ProcessId pid, int64_t, int iters) {
          std::vector<uint8_t> payload(64, 1);
          uint64_t done = 0;
          for (int i = 0; i < iters; ++i) {
@@ -118,13 +121,14 @@ std::vector<OpCost> RunAll(StackT& stack, minios::Os& os,
     OpCost cost;
     in_context([&] {
       auto pid = os.Spawn("bench");
-      // Warm up (allocates fds, files, driver state).
-      (void)bench.op(os, *pid, 4);
+      const int64_t fd = bench.setup ? bench.setup(os, *pid) : -1;
+      // Warm up (driver state).
+      (void)bench.op(os, *pid, fd, 4);
       machine.RunUntilIdle();
       const uint64_t idle0 = machine.accounting().CyclesOf(hwsim::kIdleDomain);
       const uint64_t hw0 = machine.accounting().CyclesOf(ukvm::kHardwareDomain);
       const uint64_t t0 = machine.Now();
-      const uint64_t done = bench.op(os, *pid, kIters);
+      const uint64_t done = bench.op(os, *pid, fd, kIters);
       machine.RunUntilIdle();
       const uint64_t wall = machine.Now() - t0;
       const uint64_t idle = machine.accounting().CyclesOf(hwsim::kIdleDomain) - idle0;
