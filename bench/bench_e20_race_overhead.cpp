@@ -40,8 +40,11 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Drains the stack and reads its results; `t0` is when the run started.
 template <typename Stack>
-void Harvest(Stack& stack, RunResult& r) {
+RunResult Harvest(Stack& stack, std::chrono::steady_clock::time_point t0) {
+  stack.machine().RunUntilIdle();
+  RunResult r;
   r.sim_cycles = stack.machine().Now();
   if (stack.auditor() != nullptr && stack.auditor()->race() != nullptr) {
     r.violations = stack.auditor()->violation_count();
@@ -49,6 +52,8 @@ void Harvest(Stack& stack, RunResult& r) {
     r.edges = s.releases + s.acquires;
     r.accesses = s.shared_accesses;
   }
+  r.host_ms = MsSince(t0);
+  return r;
 }
 
 RunResult RunVmmFlipReceive(bool race) {
@@ -67,11 +72,7 @@ RunResult RunVmmFlipReceive(bool race) {
     wire.StartStream(40, 1024, 20 * hwsim::kCyclesPerUs, 64);
     uwork::RunUdpReceive(stack.machine(), os, *pid, 40, 64, 1'000'000'000ull);
   });
-  stack.machine().RunUntilIdle();
-  RunResult r;
-  Harvest(stack, r);
-  r.host_ms = MsSince(t0);
-  return r;
+  return Harvest(stack, t0);
 }
 
 RunResult RunVmmBlkTraffic(bool race) {
@@ -90,11 +91,7 @@ RunResult RunVmmBlkTraffic(bool race) {
   for (uint64_t lba = 0; lba < 32; ++lba) {
     (void)blk.Read(lba, 1, back);
   }
-  stack.machine().RunUntilIdle();
-  RunResult r;
-  Harvest(stack, r);
-  r.host_ms = MsSince(t0);
-  return r;
+  return Harvest(stack, t0);
 }
 
 RunResult RunVmmBatchedCopyReceive(bool race) {
@@ -115,11 +112,7 @@ RunResult RunVmmBatchedCopyReceive(bool race) {
     wire.StartStream(41, 1024, 20 * hwsim::kCyclesPerUs, 64);
     uwork::RunUdpReceive(stack.machine(), os, *pid, 41, 64, 1'000'000'000ull);
   });
-  stack.machine().RunUntilIdle();
-  RunResult r;
-  Harvest(stack, r);
-  r.host_ms = MsSince(t0);
-  return r;
+  return Harvest(stack, t0);
 }
 
 RunResult RunUkernelIpc(bool race) {
@@ -133,11 +126,7 @@ RunResult RunUkernelIpc(bool race) {
     auto pid = os.Spawn("bench");
     uwork::RunNullSyscalls(stack.machine(), os, *pid, 2000);
   });
-  stack.machine().RunUntilIdle();
-  RunResult r;
-  Harvest(stack, r);
-  r.host_ms = MsSince(t0);
-  return r;
+  return Harvest(stack, t0);
 }
 
 }  // namespace

@@ -30,6 +30,17 @@ uint64_t MeasurePerOp(hwsim::Machine& machine, Fn op) {
   return (machine.Now() - t0) / kIters;
 }
 
+// Null-syscall cost for guest 0's application on a VMM or µ-kernel stack.
+template <typename StackT>
+uint64_t GuestNullCost(StackT& stack) {
+  auto pid = stack.guest_os(0).Spawn("bench");
+  uint64_t cost = 0;
+  stack.RunAsApp(0, [&] {
+    cost = MeasurePerOp(stack.machine(), [&] { (void)stack.guest_os(0).Null(*pid); });
+  });
+  return cost;
+}
+
 }  // namespace
 
 int main() {
@@ -55,11 +66,7 @@ int main() {
   // 2. VMM with the fast trap gate armed.
   {
     ustack::VmmStack stack;
-    auto pid = stack.guest_os(0).Spawn("bench");
-    uint64_t cost = 0;
-    stack.RunAsApp(0, [&] {
-      cost = MeasurePerOp(stack.machine(), [&] { (void)stack.guest_os(0).Null(*pid); });
-    });
+    const uint64_t cost = GuestNullCost(stack);
     table.AddRow({"vmm fast trap gate", uharness::FmtInt(cost), "0", rel(cost)});
   }
 
@@ -68,11 +75,7 @@ int main() {
   {
     ustack::VmmStack stack;
     (void)stack.guest_port(0).LoadGlibcStyleSegments();
-    auto pid = stack.guest_os(0).Spawn("bench");
-    uint64_t cost = 0;
-    stack.RunAsApp(0, [&] {
-      cost = MeasurePerOp(stack.machine(), [&] { (void)stack.guest_os(0).Null(*pid); });
-    });
+    const uint64_t cost = GuestNullCost(stack);
     table.AddRow({"vmm trap-and-reflect (glibc segments)", uharness::FmtInt(cost), "2",
                   rel(cost)});
   }
@@ -82,22 +85,14 @@ int main() {
     ustack::VmmStack::Config config;
     config.request_fast_syscall = false;
     ustack::VmmStack stack(config);
-    auto pid = stack.guest_os(0).Spawn("bench");
-    uint64_t cost = 0;
-    stack.RunAsApp(0, [&] {
-      cost = MeasurePerOp(stack.machine(), [&] { (void)stack.guest_os(0).Null(*pid); });
-    });
+    const uint64_t cost = GuestNullCost(stack);
     table.AddRow({"vmm trap-and-reflect (no shortcut)", uharness::FmtInt(cost), "2", rel(cost)});
   }
 
   // 5. Microkernel: syscall = IPC to the OS server (L4Linux-style).
   {
     ustack::UkernelStack stack;
-    auto pid = stack.guest_os(0).Spawn("bench");
-    uint64_t cost = 0;
-    stack.RunAsApp(0, [&] {
-      cost = MeasurePerOp(stack.machine(), [&] { (void)stack.guest_os(0).Null(*pid); });
-    });
+    const uint64_t cost = GuestNullCost(stack);
     table.AddRow({"ukernel IPC redirection (L4Linux)", uharness::FmtInt(cost), "0", rel(cost)});
   }
 

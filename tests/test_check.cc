@@ -459,6 +459,17 @@ TEST(CheckLint, LedgerResetAlsoResetsPairing) {
 
 // --- Clean runs: the three stacks' E1-E4 paths under the auditor ----------------
 
+// Drains the stack, runs a final checkpoint, and fails on any violation.
+template <typename StackT>
+void ExpectAuditClean(StackT& stack) {
+  stack.machine().RunUntilIdle();
+  stack.auditor()->Checkpoint("end");
+  for (const std::string& report : stack.auditor()->ViolationReports()) {
+    ADD_FAILURE() << report;
+  }
+  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+}
+
 TEST(CheckCleanRun, UkernelStackWorkloadsAuditClean) {
   ustack::UkernelStack stack;
   ASSERT_NE(stack.auditor(), nullptr);
@@ -479,13 +490,7 @@ TEST(CheckCleanRun, UkernelStackWorkloadsAuditClean) {
     wire.StartStream(40, 200, 50 * hwsim::kCyclesPerUs, 4);
     uwork::RunUdpReceive(stack.machine(), os, *pid, 40, 4, 1'000'000'000ull);
   }), Err::kNone);
-  stack.machine().RunUntilIdle();
-  stack.auditor()->Checkpoint("end");
-
-  for (const std::string& report : stack.auditor()->ViolationReports()) {
-    ADD_FAILURE() << report;
-  }
-  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  ExpectAuditClean(stack);
 
   // Every open the linter saw (call or fault IPC) paired with exactly one
   // reply, and the ledger's own totals balance too.
@@ -514,13 +519,7 @@ TEST(CheckCleanRun, VmmStackPageFlipWorkloadsAuditClean) {
     wire.StartStream(40, 200, 50 * hwsim::kCyclesPerUs, 4);
     uwork::RunUdpReceive(stack.machine(), os, *pid, 40, 4, 1'000'000'000ull);
   }), Err::kNone);
-  stack.machine().RunUntilIdle();
-  stack.auditor()->Checkpoint("end");
-
-  for (const std::string& report : stack.auditor()->ViolationReports()) {
-    ADD_FAILURE() << report;
-  }
-  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  ExpectAuditClean(stack);
 
   // Hypercalls pair with their returns one-to-one.
   const uint64_t hypercalls = ledger.StatsFor("xen.hypercall").count;
@@ -544,13 +543,7 @@ TEST(CheckCleanRun, VmmStackGrantCopyWorkloadsAuditClean) {
     uwork::RunUdpReceive(stack.machine(), os, *pid, 41, 4, 1'000'000'000ull);
     uwork::RunUdpSend(stack.machine(), os, *pid, 90, 256, 8);
   }), Err::kNone);
-  stack.machine().RunUntilIdle();
-  stack.auditor()->Checkpoint("end");
-
-  for (const std::string& report : stack.auditor()->ViolationReports()) {
-    ADD_FAILURE() << report;
-  }
-  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  ExpectAuditClean(stack);
 }
 
 TEST(CheckCleanRun, NativeStackWorkloadsAuditClean) {
@@ -561,13 +554,7 @@ TEST(CheckCleanRun, NativeStackWorkloadsAuditClean) {
   ASSERT_TRUE(pid.ok());
   uwork::RunNullSyscalls(stack.machine(), stack.os(), *pid, 50);
   uwork::RunMixedWorkload(stack.machine(), stack.os(), *pid, 80);
-  stack.machine().RunUntilIdle();
-  stack.auditor()->Checkpoint("end");
-
-  for (const std::string& report : stack.auditor()->ViolationReports()) {
-    ADD_FAILURE() << report;
-  }
-  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  ExpectAuditClean(stack);
   EXPECT_GT(stack.auditor()->lint().events_observed(), 0u);
 }
 
@@ -584,13 +571,7 @@ TEST(CheckCleanRun, VmmReflectedSyscallsPairWithIret) {
     auto pid = os.Spawn("app");
     uwork::RunNullSyscalls(stack.machine(), os, *pid, 25);
   }), Err::kNone);
-  stack.machine().RunUntilIdle();
-  stack.auditor()->Checkpoint("end");
-
-  for (const std::string& report : stack.auditor()->ViolationReports()) {
-    ADD_FAILURE() << report;
-  }
-  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  ExpectAuditClean(stack);
   EXPECT_GT(stack.auditor()->lint().CompletedPairs("guest-trap"), 0u);
 }
 

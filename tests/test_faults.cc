@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -142,13 +143,18 @@ class DiskRetryTest : public ::testing::Test {
     return *f;
   }
 
-  // Unit tests deliver completion interrupts by hand: drain events, then
-  // reap, until the callback fires (bounded so failures don't hang).
-  void PumpUntil(const bool& done) {
-    for (int i = 0; i < 64 && !done; ++i) {
+  // Reads block 0 and returns its final status, or nothing if the callback
+  // never fired. Unit tests deliver completion interrupts by hand: drain
+  // events, then reap, until the callback fires (bounded so failures don't
+  // hang).
+  std::optional<Err> ReadBlockZero() {
+    std::optional<Err> status;
+    EXPECT_EQ(driver_.Read(0, 1, Alloc(), [&](Err s) { status = s; }), Err::kNone);
+    for (int i = 0; i < 64 && !status; ++i) {
       machine_.RunUntilIdle();
       driver_.OnInterrupt();
     }
+    return status;
   }
 
   Machine machine_;
@@ -170,16 +176,7 @@ TEST_F(DiskRetryTest, RetriesThroughTransientErrors) {
 
   driver_.SetRetryPolicy({.max_attempts = 3, .timeout_cycles = 0, .backoff_cycles = 300'000});
 
-  bool done = false;
-  Err status = Err::kBusy;
-  ASSERT_EQ(driver_.Read(0, 1, Alloc(), [&](Err s) {
-    status = s;
-    done = true;
-  }), Err::kNone);
-  PumpUntil(done);
-
-  ASSERT_TRUE(done);
-  EXPECT_EQ(status, Err::kNone);
+  EXPECT_EQ(ReadBlockZero(), Err::kNone);
   EXPECT_EQ(driver_.retries(), 1u);
   // Counters are the observable contract: benches and supervisors read them.
   EXPECT_EQ(machine_.counters().Get("drv.disk.retry"), 1u);
@@ -195,16 +192,7 @@ TEST_F(DiskRetryTest, ExhaustsRetriesAgainstPersistentErrors) {
 
   driver_.SetRetryPolicy({.max_attempts = 3, .timeout_cycles = 0, .backoff_cycles = 10'000});
 
-  bool done = false;
-  Err status = Err::kNone;
-  ASSERT_EQ(driver_.Read(0, 1, Alloc(), [&](Err s) {
-    status = s;
-    done = true;
-  }), Err::kNone);
-  PumpUntil(done);
-
-  ASSERT_TRUE(done);
-  EXPECT_EQ(status, Err::kRetryExhausted);
+  EXPECT_EQ(ReadBlockZero(), Err::kRetryExhausted);
   EXPECT_EQ(driver_.retries(), 2u);
   EXPECT_EQ(machine_.counters().Get("drv.disk.retry"), 2u);
   EXPECT_EQ(machine_.counters().Get("drv.disk.exhausted"), 1u);
@@ -218,15 +206,7 @@ TEST_F(DiskRetryTest, RawErrorPassesThroughWithoutRetries) {
   FaultInjector inj(machine_, plan);
   disk_.SetFaultInjector(&inj);
 
-  bool done = false;
-  Err status = Err::kNone;
-  ASSERT_EQ(driver_.Read(0, 1, Alloc(), [&](Err s) {
-    status = s;
-    done = true;
-  }), Err::kNone);
-  PumpUntil(done);
-  ASSERT_TRUE(done);
-  EXPECT_EQ(status, Err::kCorrupted);
+  EXPECT_EQ(ReadBlockZero(), Err::kCorrupted);
   EXPECT_EQ(driver_.retries(), 0u);
 }
 

@@ -231,6 +231,17 @@ TEST(RaceMutation, UnboundRingIsUninstrumented) {
 
 // --- Clean runs: the three stacks with the detector armed -------------------------
 
+// Drains the stack, runs a final checkpoint, and fails on any violation.
+template <typename StackT>
+void ExpectAuditClean(StackT& stack) {
+  stack.machine().RunUntilIdle();
+  stack.auditor()->Checkpoint("end");
+  for (const std::string& report : stack.auditor()->ViolationReports()) {
+    ADD_FAILURE() << report;
+  }
+  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+}
+
 TEST(RaceCleanRun, VmmStackPageFlipAndBlkTraffic) {
   ustack::VmmStack::Config config;
   config.race_detect = true;
@@ -256,13 +267,7 @@ TEST(RaceCleanRun, VmmStackPageFlipAndBlkTraffic) {
   ASSERT_EQ(blk.Write(3, 1, block), Err::kNone);
   ASSERT_EQ(blk.Read(3, 1, back), Err::kNone);
   EXPECT_EQ(back, block);
-  stack.machine().RunUntilIdle();
-  stack.auditor()->Checkpoint("end");
-
-  for (const std::string& report : stack.auditor()->ViolationReports()) {
-    ADD_FAILURE() << report;
-  }
-  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  ExpectAuditClean(stack);
   const RaceDetector::Stats s = stack.auditor()->race()->stats();
   EXPECT_GT(s.releases, 0u);
   EXPECT_GT(s.acquires, 0u);
@@ -290,13 +295,7 @@ TEST(RaceCleanRun, VmmStackGrantCopyBatchedPersistent) {
     uwork::RunUdpReceive(stack.machine(), os, *pid, 41, 4, 1'000'000'000ull);
     uwork::RunUdpSend(stack.machine(), os, *pid, 90, 256, 8);
   }), Err::kNone);
-  stack.machine().RunUntilIdle();
-  stack.auditor()->Checkpoint("end");
-
-  for (const std::string& report : stack.auditor()->ViolationReports()) {
-    ADD_FAILURE() << report;
-  }
-  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  ExpectAuditClean(stack);
   EXPECT_GT(stack.auditor()->race()->stats().ring_publishes, 0u);
 }
 
@@ -316,13 +315,7 @@ TEST(RaceCleanRun, UkernelStackWorkloads) {
     wire.StartStream(40, 200, 50 * hwsim::kCyclesPerUs, 4);
     uwork::RunUdpReceive(stack.machine(), os, *pid, 40, 4, 1'000'000'000ull);
   }), Err::kNone);
-  stack.machine().RunUntilIdle();
-  stack.auditor()->Checkpoint("end");
-
-  for (const std::string& report : stack.auditor()->ViolationReports()) {
-    ADD_FAILURE() << report;
-  }
-  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  ExpectAuditClean(stack);
   // IPC call/reply crossings feed the edge bookkeeping even though the
   // ukernel's block rings are not race-bound.
   EXPECT_GT(stack.auditor()->race()->stats().releases, 0u);
@@ -339,13 +332,7 @@ TEST(RaceCleanRun, NativeStackWorkloads) {
   ASSERT_TRUE(pid.ok());
   uwork::RunNullSyscalls(stack.machine(), stack.os(), *pid, 50);
   uwork::RunMixedWorkload(stack.machine(), stack.os(), *pid, 80);
-  stack.machine().RunUntilIdle();
-  stack.auditor()->Checkpoint("end");
-
-  for (const std::string& report : stack.auditor()->ViolationReports()) {
-    ADD_FAILURE() << report;
-  }
-  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  ExpectAuditClean(stack);
 }
 
 // --- Frontend-driven xenbus liveness probe ----------------------------------------

@@ -44,9 +44,7 @@ TEST(ReqTrace, CriticalPathPrefersDeepestNode) {
   ukvm::RequestTrace rt(names);
   uint64_t now = 0;
   rt.SetTimeSource([&now] { return now; });
-  ukvm::ReqTraceConfig config;
-  config.enabled = true;
-  rt.Enable(config);
+  rt.Enable(ukvm::ReqTraceConfig{true});
   const uint32_t origin = names.Intern("origin");
   const uint32_t dev = names.Intern("dev");
 
@@ -72,9 +70,7 @@ TEST(ReqTrace, RingStashConsumePairsAppendQueueNode) {
   ukvm::RequestTrace rt(names);
   uint64_t now = 0;
   rt.SetTimeSource([&now] { return now; });
-  ukvm::ReqTraceConfig config;
-  config.enabled = true;
-  rt.Enable(config);
+  rt.Enable(ukvm::ReqTraceConfig{true});
   const uint32_t origin = names.Intern("origin");
 
   const ukvm::ReqTraceRef ref = rt.BeginRequest(origin, ukvm::DomainId{1});
@@ -102,9 +98,7 @@ TEST(ReqTrace, ConsumeInsideStashedWindowWithoutEntryIsOrphan) {
   ukvm::RequestTrace rt(names);
   uint64_t now = 0;
   rt.SetTimeSource([&now] { return now; });
-  ukvm::ReqTraceConfig config;
-  config.enabled = true;
-  rt.Enable(config);
+  rt.Enable(ukvm::ReqTraceConfig{true});
   const uint32_t origin = names.Intern("origin");
 
   // First stash lands at slot 10: the stashed window is dense from there

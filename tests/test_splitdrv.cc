@@ -98,6 +98,15 @@ class SplitDrvTest : public ::testing::Test {
     return out;
   }
 
+  // A page-flip netback over Dom0's NIC driver, fed by its rx path.
+  ustack::NetBack& AttachNetBack() {
+    netback_ = std::make_unique<ustack::NetBack>(machine_, hv_, dom0_, *nic_driver_,
+                                                 ustack::RxMode::kPageFlip, dom0_mux_);
+    nic_driver_->SetRxCallback(
+        [this](hwsim::Frame f, uint32_t len) { netback_->OnPacketReceived(f, len); });
+    return *netback_;
+  }
+
   hwsim::Machine machine_;
   hwsim::Nic nic_;
   hwsim::Disk disk_;
@@ -106,13 +115,11 @@ class SplitDrvTest : public ::testing::Test {
   ustack::PortMux dom0_mux_, guest_mux_;
   std::unique_ptr<udrv::NicDriver> nic_driver_;
   std::unique_ptr<udrv::DiskDriver> disk_driver_;
+  std::unique_ptr<ustack::NetBack> netback_;
 };
 
 TEST_F(SplitDrvTest, NetTxGoesOutZeroCopy) {
-  ustack::NetBack back(machine_, hv_, dom0_, *nic_driver_, ustack::RxMode::kPageFlip,
-                       dom0_mux_);
-  nic_driver_->SetRxCallback(
-      [&back](hwsim::Frame f, uint32_t len) { back.OnPacketReceived(f, len); });
+  ustack::NetBack& back = AttachNetBack();
   ustack::NetFront front(machine_, hv_, guest_, GuestPfns(100, 164), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
 
@@ -132,10 +139,7 @@ TEST_F(SplitDrvTest, NetTxGoesOutZeroCopy) {
 }
 
 TEST_F(SplitDrvTest, NetRxFlipDeliversIntactPayload) {
-  ustack::NetBack back(machine_, hv_, dom0_, *nic_driver_, ustack::RxMode::kPageFlip,
-                       dom0_mux_);
-  nic_driver_->SetRxCallback(
-      [&back](hwsim::Frame f, uint32_t len) { back.OnPacketReceived(f, len); });
+  ustack::NetBack& back = AttachNetBack();
   ustack::NetFront front(machine_, hv_, guest_, GuestPfns(100, 164), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
 
@@ -159,10 +163,7 @@ TEST_F(SplitDrvTest, NetRxFlipDeliversIntactPayload) {
 
 TEST_F(SplitDrvTest, NetRxSurvivesManyPackets) {
   // Slot replenishment must keep up across many flips.
-  ustack::NetBack back(machine_, hv_, dom0_, *nic_driver_, ustack::RxMode::kPageFlip,
-                       dom0_mux_);
-  nic_driver_->SetRxCallback(
-      [&back](hwsim::Frame f, uint32_t len) { back.OnPacketReceived(f, len); });
+  ustack::NetBack& back = AttachNetBack();
   ustack::NetFront front(machine_, hv_, guest_, GuestPfns(100, 164), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
   size_t got = 0;
@@ -176,10 +177,7 @@ TEST_F(SplitDrvTest, NetRxSurvivesManyPackets) {
 }
 
 TEST_F(SplitDrvTest, NetRxDroppedWithoutSlots) {
-  ustack::NetBack back(machine_, hv_, dom0_, *nic_driver_, ustack::RxMode::kPageFlip,
-                       dom0_mux_);
-  nic_driver_->SetRxCallback(
-      [&back](hwsim::Frame f, uint32_t len) { back.OnPacketReceived(f, len); });
+  ustack::NetBack& back = AttachNetBack();
   // A frontend with a tiny pool: 2 pfns -> 1 rx slot.
   ustack::NetFront front(machine_, hv_, guest_, GuestPfns(100, 102), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
@@ -194,10 +192,7 @@ TEST_F(SplitDrvTest, NetRxDroppedWithoutSlots) {
 }
 
 TEST_F(SplitDrvTest, NetRxToDeadGuestDropped) {
-  ustack::NetBack back(machine_, hv_, dom0_, *nic_driver_, ustack::RxMode::kPageFlip,
-                       dom0_mux_);
-  nic_driver_->SetRxCallback(
-      [&back](hwsim::Frame f, uint32_t len) { back.OnPacketReceived(f, len); });
+  ustack::NetBack& back = AttachNetBack();
   ustack::NetFront front(machine_, hv_, guest_, GuestPfns(100, 164), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
   ASSERT_EQ(hv_.DestroyDomain(guest_), Err::kNone);

@@ -47,8 +47,10 @@ TEST(UkernelStack, SyscallsGoThroughIpc) {
   EXPECT_EQ(ledger.StatsFor("l4.ipc.call").count - calls_before, 10u);
 }
 
-TEST(UkernelStack, InboundPacketsReachGuest) {
-  ustack::UkernelStack stack;
+// Streams `packets` 200-byte packets at guest 0's port 40 and returns how
+// many its application received.
+template <typename StackT>
+uint64_t ReceiveStream(StackT& stack, uint32_t packets) {
   uwork::WireHost wire(stack.machine(), stack.nic());
   stack.RouteWirePort(40, 0);
   uwork::WorkloadResult recv;
@@ -56,11 +58,15 @@ TEST(UkernelStack, InboundPacketsReachGuest) {
     auto& os = stack.guest_os(0);
     auto pid = os.Spawn("rx");
     ASSERT_EQ(os.NetBind(*pid, 40), 0);
-    wire.StartStream(40, 200, 50 * hwsim::kCyclesPerUs, 8);
-    recv = uwork::RunUdpReceive(stack.machine(), os, *pid, 40, 8,
-                                /*timeout=*/1'000'000'000ull);
+    wire.StartStream(40, 200, 50 * hwsim::kCyclesPerUs, packets);
+    recv = uwork::RunUdpReceive(stack.machine(), os, *pid, 40, packets, 1'000'000'000ull);
   });
-  EXPECT_EQ(recv.ops_succeeded, 8u);
+  return recv.ops_succeeded;
+}
+
+TEST(UkernelStack, InboundPacketsReachGuest) {
+  ustack::UkernelStack stack;
+  EXPECT_EQ(ReceiveStream(stack, 8), 8u);
 }
 
 TEST(UkernelStack, TwoGuestsAreIsolated) {
@@ -155,17 +161,7 @@ TEST(VmmStack, BootsAndRunsMixedWorkload) {
 
 TEST(VmmStack, InboundPacketsArriveViaPageFlip) {
   ustack::VmmStack stack;  // default: page-flip rx
-  uwork::WireHost wire(stack.machine(), stack.nic());
-  stack.RouteWirePort(40, 0);
-  uwork::WorkloadResult recv;
-  stack.RunAsApp(0, [&] {
-    auto& os = stack.guest_os(0);
-    auto pid = os.Spawn("rx");
-    ASSERT_EQ(os.NetBind(*pid, 40), 0);
-    wire.StartStream(40, 200, 50 * hwsim::kCyclesPerUs, 8);
-    recv = uwork::RunUdpReceive(stack.machine(), os, *pid, 40, 8, 1'000'000'000ull);
-  });
-  EXPECT_EQ(recv.ops_succeeded, 8u);
+  EXPECT_EQ(ReceiveStream(stack, 8), 8u);
   // Page flips really happened, one per packet.
   EXPECT_GE(stack.machine().counters().Get("xen.page_flips"), 8u);
 }
@@ -174,17 +170,7 @@ TEST(VmmStack, InboundPacketsArriveViaGrantCopy) {
   ustack::VmmStack::Config config;
   config.rx_mode = ustack::RxMode::kGrantCopy;
   ustack::VmmStack stack(config);
-  uwork::WireHost wire(stack.machine(), stack.nic());
-  stack.RouteWirePort(40, 0);
-  uwork::WorkloadResult recv;
-  stack.RunAsApp(0, [&] {
-    auto& os = stack.guest_os(0);
-    auto pid = os.Spawn("rx");
-    ASSERT_EQ(os.NetBind(*pid, 40), 0);
-    wire.StartStream(40, 200, 50 * hwsim::kCyclesPerUs, 8);
-    recv = uwork::RunUdpReceive(stack.machine(), os, *pid, 40, 8, 1'000'000'000ull);
-  });
-  EXPECT_EQ(recv.ops_succeeded, 8u);
+  EXPECT_EQ(ReceiveStream(stack, 8), 8u);
   EXPECT_EQ(stack.machine().counters().Get("xen.page_flips"), 0u);
   EXPECT_GE(stack.machine().ledger().StatsFor("xen.gnttab.copy").count, 8u);
 }
