@@ -48,10 +48,10 @@ class BlockClient : public BlockDevice {
 
   // --- Crash recovery (E19) ---------------------------------------------------
 
-  // Off by default. On, write chunks are journaled until the backend
-  // answers; the ports then run their recovery paths too.
+  // Off by default. On, each write chunk goes out as a journaled request
+  // (BlockRequest::journaled) and stays in the journal until the backend
+  // answers.
   void SetCrashRecovery(bool on) { crash_recovery_ = on; }
-  bool crash_recovery() const { return crash_recovery_; }
 
   // Re-issues every journaled write, in id order and with its original id,
   // against the reconnected backend. `phases` (when valid) become detect
