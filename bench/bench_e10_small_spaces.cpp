@@ -109,5 +109,6 @@ int main() {
       "speedup — the optimisation the paper's [Lie95] citation refers to. On a\n"
       "tagged-TLB platform (MIPS) there is little to win; without segmentation (ARM)\n"
       "the mechanism does not exist. Same single-primitive API in every case.\n");
+  uharness::WriteJsonIfRequested("E10");
   return 0;
 }

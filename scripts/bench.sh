@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the bench suite and runs the experiments that export machine-readable
-# results (E1 IPC ping-pong, E3 Dom0 CPU accounting, E4 crossing counts, E5
-# fault-isolation blast radius, E6 portability matrix, E11 lmbench-style OS
-# operations, E16 batched datapath, E17 tracing overhead,
+# results (E1 IPC ping-pong, E2 null-syscall entry paths, E3 Dom0 CPU
+# accounting, E4 crossing counts, E5 fault-isolation blast radius, E6
+# portability matrix, E10 small address spaces, E11 lmbench-style OS
+# operations, E12 page-table update batching, E16 batched datapath, E17 tracing overhead,
 # E18 TLB shootdown scaling, E19 crash-recovery latency + exactly-once
 # ledger, E20 race-detection overhead, E21 L4 fast-path IPC, E22 causal request tracing, E23 the
 # completed fast-path family), plus E8's per-layer line counts. Each bench
@@ -36,8 +37,9 @@ BUILD="${BUILD:-build}"
 
 cmake -B "${BUILD}" -S . >/dev/null
 cmake --build "${BUILD}" -j"${JOBS}" --target \
-  bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings \
-  bench_e5_fault_isolation bench_e6_portability bench_e11_osbench \
+  bench_e1_ipc_pingpong bench_e2_syscall_paths bench_e3_dom0_cpu \
+  bench_e4_crossings bench_e5_fault_isolation bench_e6_portability \
+  bench_e10_small_spaces bench_e11_osbench bench_e12_mmu_batching \
   bench_e16_batched_io bench_e17_trace_overhead bench_e18_shootdown \
   bench_e19_recovery bench_e20_race_overhead bench_e21_ipc_fastpath \
   bench_e22_reqtrace bench_e23_replywait bench_e8_tcb_size bench_simspeed
@@ -46,8 +48,9 @@ mkdir -p "${OUT}"
 export UKVM_BENCH_JSON="${OUT}"
 export UKVM_TRACE_DIR="${OUT}"
 
-for bench in bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings \
-             bench_e5_fault_isolation bench_e6_portability bench_e11_osbench \
+for bench in bench_e1_ipc_pingpong bench_e2_syscall_paths bench_e3_dom0_cpu \
+             bench_e4_crossings bench_e5_fault_isolation bench_e6_portability \
+             bench_e10_small_spaces bench_e11_osbench bench_e12_mmu_batching \
              bench_e16_batched_io bench_e17_trace_overhead bench_e18_shootdown \
              bench_e19_recovery bench_e20_race_overhead \
              bench_e21_ipc_fastpath bench_e22_reqtrace bench_e23_replywait \

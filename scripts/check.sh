@@ -120,13 +120,14 @@ build-check/werror/bench/bench_e22_reqtrace
 # bit-exactly. Every bench's BENCH_<id>.json carries pure simulated-cycle
 # data (E17/E20 split their wall-clock columns into BENCH_<id>_HOST.json,
 # which never gates).
-DET_BENCHES="bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings \
-             bench_e5_fault_isolation bench_e6_portability bench_e11_osbench \
+DET_BENCHES="bench_e1_ipc_pingpong bench_e2_syscall_paths bench_e3_dom0_cpu \
+             bench_e4_crossings bench_e5_fault_isolation bench_e6_portability \
+             bench_e10_small_spaces bench_e11_osbench bench_e12_mmu_batching \
              bench_e16_batched_io bench_e17_trace_overhead bench_e18_shootdown \
              bench_e19_recovery bench_e20_race_overhead \
              bench_e21_ipc_fastpath bench_e22_reqtrace bench_e23_replywait"
-DET_JSONS="BENCH_E1.json BENCH_E3.json BENCH_E4.json BENCH_E5.json BENCH_E6.json \
-           BENCH_E11.json BENCH_E16.json BENCH_E17.json BENCH_E18.json BENCH_E19.json \
+DET_JSONS="BENCH_E1.json BENCH_E2.json BENCH_E3.json BENCH_E4.json BENCH_E5.json \
+           BENCH_E6.json BENCH_E10.json BENCH_E11.json BENCH_E12.json BENCH_E16.json BENCH_E17.json BENCH_E18.json BENCH_E19.json \
            BENCH_E20.json BENCH_E21.json BENCH_E22.json BENCH_E23.json"
 # shellcheck disable=SC2086
 cmake --build build-check/werror -j"${JOBS}" --target ${DET_BENCHES}
