@@ -6,7 +6,6 @@
 #include "src/hw/cpu.h"
 #include "src/ukernel/kernel.h"
 #include "src/ukernel/mapdb.h"
-#include "src/ukernel/task.h"
 #include "src/vmm/domain.h"
 #include "src/vmm/grant_table.h"
 #include "src/vmm/hypervisor.h"
@@ -14,50 +13,26 @@
 
 namespace ucheck {
 
+using ukvm::ObsBit;
+using ukvm::ObsKind;
+
 Auditor::Auditor(hwsim::Machine& machine) : Auditor(machine, Options{}) {}
 
 Auditor::Auditor(hwsim::Machine& machine, Options options)
     : machine_(machine), options_(options), invariants_(machine), lint_(machine.ledger()) {
-  machine_.bus().Attach(this, ukvm::ObsBit(ukvm::ObsKind::kCrossing) |
-                                  ukvm::ObsBit(ukvm::ObsKind::kLedgerReset) |
-                                  (options_.check_dma ? ukvm::ObsBit(ukvm::ObsKind::kDma) : 0));
-  if (options_.check_tlb_inserts) {
-    // Every vCPU's TLB, not just the boot CPU's: remote shootdown targets
-    // refill their TLBs too.
-    for (uint32_t v = 0; v < machine_.num_vcpus(); ++v) {
-      machine_.cpu(v).tlb().SetInsertHook(
-          [this](const hwsim::TlbEntry& entry) { invariants_.CheckTlbInsert(entry); });
-    }
-  }
+  machine_.bus().Attach(this, ObsBit(ObsKind::kCrossing) | ObsBit(ObsKind::kLedgerReset) |
+                                  ObsBit(ObsKind::kDma) | ObsBit(ObsKind::kTlbInsert) |
+                                  ObsBit(ObsKind::kPteUpdate));
   if (options_.race_detect) {
     race_ = std::make_unique<RaceDetector>(machine_);
   }
 }
 
-Auditor::~Auditor() {
-  machine_.bus().Detach(this);
-  for (uint32_t v = 0; v < machine_.num_vcpus(); ++v) {
-    machine_.cpu(v).tlb().SetInsertHook(nullptr);
-  }
-  if (kernel_ != nullptr) {
-    kernel_->mapdb().SetAuditHook(nullptr);
-    kernel_->ForEachTask([](ukern::Task& t) { t.space.SetAuditHook(nullptr); });
-  }
-  if (hv_ != nullptr) {
-    hv_->gnttab().SetAuditHook(nullptr);
-    hv_->pt_virt().SetAuditHook(nullptr);
-    hv_->ForEachDomain([](uvmm::Domain& d) { d.space.SetAuditHook(nullptr); });
-  }
-  for (auto& [domain, space] : raw_spaces_) {
-    space->SetAuditHook(nullptr);
-  }
-}
+Auditor::~Auditor() { machine_.bus().Detach(this); }
 
 void Auditor::AttachUkernel(ukern::Kernel& kernel) {
   kernel_ = &kernel;
   invariants_.AttachUkernel(kernel);
-  kernel.mapdb().SetAuditHook([this] { mapdb_dirty_ = true; });
-  RefreshSpaceHooks();
 }
 
 void Auditor::AttachVmm(uvmm::Hypervisor& hv) {
@@ -66,62 +41,47 @@ void Auditor::AttachVmm(uvmm::Hypervisor& hv) {
   if (race_) {
     race_->SetHubDomain(hv.vmm_domain());
   }
-  hv.gnttab().SetAuditHook([this] { grants_dirty_ = true; });
-  // PT-update batches bypass no hooks (PtVirt goes through PageTable::Map/
-  // Unmap), but the batch hook gives a consistent point to rescan just the
-  // touched domain's table, catching multi-update interactions the
-  // per-update checks cannot see.
-  hv.pt_virt().SetAuditHook([this](const uvmm::Domain& dom) {
-    if (options_.check_pt_updates) {
-      invariants_.CheckSpace(dom.id, SpaceKind::kVmmDomain, dom.space);
-    }
-  });
-  RefreshSpaceHooks();
 }
 
 void Auditor::AttachSpace(ukvm::DomainId domain, hwsim::PageTable& space) {
-  raw_spaces_.emplace_back(domain, &space);
   invariants_.AttachSpace(domain, space);
-  HookSpace(domain, SpaceKind::kRaw, space);
+  space.Observe(&machine_.bus(), domain);
 }
 
-void Auditor::DetachSpace(hwsim::PageTable& space) {
-  space.SetAuditHook(nullptr);
-  std::erase_if(raw_spaces_, [sp = &space](const auto& e) { return e.second == sp; });
-  invariants_.DetachSpace(&space);
-}
+void Auditor::DetachSpace(hwsim::PageTable& space) { invariants_.DetachSpace(&space); }
 
-void Auditor::HookSpace(ukvm::DomainId domain, SpaceKind kind, hwsim::PageTable& space) {
-  if (!options_.check_pt_updates) {
+void Auditor::OnPteUpdate(const ukvm::ObsEvent& event) {
+  const auto* space = static_cast<const hwsim::PageTable*>(event.table);
+  const std::optional<SpaceKind> kind = invariants_.WatchedKind(event.domain, space);
+  if (!kind.has_value()) {
     return;
   }
-  space.SetAuditHook([this, domain, kind, sp = &space](hwsim::PageTable::AuditOp op,
-                                                       hwsim::Vaddr vpn, const hwsim::Pte& pte) {
-    OnPtOp(sp, domain, kind, op, vpn, pte);
-  });
-}
-
-void Auditor::RefreshSpaceHooks() {
-  if (kernel_ != nullptr) {
-    kernel_->ForEachTask(
-        [this](ukern::Task& t) { HookSpace(t.id, SpaceKind::kUkernelTask, t.space); });
-  }
-  if (hv_ != nullptr) {
-    hv_->ForEachDomain(
-        [this](uvmm::Domain& d) { HookSpace(d.id, SpaceKind::kVmmDomain, d.space); });
-  }
-}
-
-void Auditor::OnPtOp(const hwsim::PageTable* space, ukvm::DomainId domain, SpaceKind kind,
-                     hwsim::PageTable::AuditOp op, hwsim::Vaddr vpn, const hwsim::Pte& pte) {
-  if (op == hwsim::PageTable::AuditOp::kUnmap) {
-    // The kernel flushes the TLB right after this hook fires, so the check
-    // must wait: it runs at the next recorded crossing (by which time the
+  if ((event.flag & ukvm::kObsUnmap) != 0) {
+    // The kernel flushes the TLB right after the unmap, so the check must
+    // wait: it runs at the next recorded crossing (by which time the
     // operation has completed) or at the next checkpoint.
-    pending_unmaps_.push_back(PendingUnmap{space, vpn});
+    pending_unmaps_.push_back(PendingUnmap{space, event.key});
     return;
   }
-  invariants_.CheckMappedPte(domain, kind, vpn, pte);
+  invariants_.CheckMappedPte(event.domain, *kind, event.key,
+                             hwsim::Pte{.frame = event.index,
+                                        .present = true,
+                                        .writable = (event.flag & ukvm::kObsWritable) != 0,
+                                        .user = (event.flag & ukvm::kObsUser) != 0});
+}
+
+void Auditor::OnCrossing(const ukvm::ObsEvent& event) {
+  lint_.Observe(event);
+  if (!pending_unmaps_.empty()) {
+    DrainPendingUnmaps();
+  }
+  // An applied mmu_update batch is recorded once, after all its updates
+  // landed: rescan just that domain's table.
+  if (hv_ != nullptr && event.mechanism == hv_->pt_virt().mechanism()) {
+    if (const uvmm::Domain* dom = hv_->FindDomain(event.domain)) {
+      invariants_.CheckSpace(dom->id, SpaceKind::kVmmDomain, dom->space);
+    }
+  }
 }
 
 void Auditor::DrainPendingUnmaps() {
@@ -133,19 +93,25 @@ void Auditor::DrainPendingUnmaps() {
 
 void Auditor::OnEvent(const ukvm::ObsEvent& event) {
   switch (event.kind) {
-    case ukvm::ObsKind::kCrossing:
-      if (options_.lint_crossings) {
-        lint_.Observe(event);
-      }
-      if (!pending_unmaps_.empty()) {
-        DrainPendingUnmaps();
-      }
+    case ObsKind::kCrossing:
+      OnCrossing(event);
       break;
-    case ukvm::ObsKind::kLedgerReset:
+    case ObsKind::kLedgerReset:
       lint_.Reset();
       break;
-    case ukvm::ObsKind::kDma:
+    case ObsKind::kDma:
       invariants_.CheckDmaTarget(event.key, event.flag != 0, event.domain);
+      break;
+    case ObsKind::kTlbInsert:
+      invariants_.CheckTlbInsert(static_cast<uint32_t>(event.slot),
+                                 hwsim::TlbEntry{.vpn = event.key,
+                                                 .frame = event.index,
+                                                 .writable = (event.flag & ukvm::kObsWritable) != 0,
+                                                 .user = (event.flag & ukvm::kObsUser) != 0,
+                                                 .valid = true});
+      break;
+    case ObsKind::kPteUpdate:
+      OnPteUpdate(event);
       break;
     default:
       break;
@@ -154,7 +120,6 @@ void Auditor::OnEvent(const ukvm::ObsEvent& event) {
 
 void Auditor::Checkpoint(const std::string& phase) {
   ++checkpoints_;
-  RefreshSpaceHooks();
   DrainPendingUnmaps();
   if (options_.incremental_tlb) {
     invariants_.CheckTlbCoherenceSince(tlb_stamps_);
@@ -165,17 +130,15 @@ void Auditor::Checkpoint(const std::string& phase) {
   invariants_.CheckFrameOwnership();
   invariants_.CheckPrivilegeDiscipline();
   invariants_.CheckDeadDomainReclamation();
-  if (grants_dirty_) {
+  if (hv_ != nullptr && hv_->gnttab().generation() != grants_scanned_) {
+    grants_scanned_ = hv_->gnttab().generation();
     invariants_.CheckGrantRefcounts();
-    grants_dirty_ = false;
   }
-  if (mapdb_dirty_) {
+  if (kernel_ != nullptr && kernel_->mapdb().generation() != mapdb_scanned_) {
+    mapdb_scanned_ = kernel_->mapdb().generation();
     invariants_.CheckMapDbCoherence();
-    mapdb_dirty_ = false;
   }
-  if (options_.lint_crossings) {
-    lint_.CheckBalanced();
-  }
+  lint_.CheckBalanced();
   const std::vector<std::string> reports = ViolationReports();
   for (size_t i = warned_; i < reports.size(); ++i) {
     UKVM_WARN("ukvm-check[%s]: %s", phase.c_str(), reports[i].c_str());

@@ -1,26 +1,26 @@
 // The auditor: wires the invariant checks and the crossing-discipline
 // linter into a live machine.
 //
-// One Auditor per simulated machine. It attaches to the machine's bus for
-// crossings (fanned out to the linter), ledger resets and device DMA; it
-// installs the per-instance observer hooks (page-table map/unmap, TLB
-// insert, grant-table / mapdb / PT-virt mutation) and decides *when* each
-// class of check runs:
+// One Auditor per simulated machine. It watches the machine only through
+// its bus and plain state reads: crossings (fanned out to the linter),
+// ledger resets, device DMA, TLB inserts and page-table map/unmap arrive as
+// events; grant-table and mapping-database mutations are read as
+// generation counts. It decides *when* each class of check runs:
 //
 //  - per crossing: linter observation, plus draining any unmap operations
 //    queued since the last event (a removed PTE must have left the TLB by
-//    the time the next crossing is recorded);
+//    the time the next crossing is recorded); an applied mmu_update batch
+//    also rescans the domain's table, catching multi-update interactions
+//    the per-update checks cannot see;
 //  - per PT update: cheap locality checks on the installed PTE (live frame,
 //    privilege, hypervisor hole) — full-table work would be unaffordable on
-//    hot paths;
+//    hot paths. Kernels and the hypervisor give each table its bus when they
+//    create it, so a new task or domain is audited from its first map;
 //  - per checkpoint (Checkpoint()): every full scan, plus ledger pairing
-//    balance, which is only meaningful at a quiescent point. Checkpoints
-//    also pick up address spaces created since the last one, so per-update
-//    hooks cover new tasks/domains from the next checkpoint on.
+//    balance, which is only meaningful at a quiescent point.
 //
-// Destruction detaches from the bus and every hook, so the auditor may be
-// torn down before the kernels it watches; the stacks order members
-// accordingly.
+// Destruction detaches from the bus, so the auditor may be torn down before
+// the kernels it watches.
 
 #ifndef UKVM_SRC_CHECK_AUDITOR_H_
 #define UKVM_SRC_CHECK_AUDITOR_H_
@@ -56,10 +56,6 @@ namespace ucheck {
 class Auditor : public ukvm::Observer {
  public:
   struct Options {
-    bool lint_crossings = true;   // feed every ledger event to the linter
-    bool check_pt_updates = true; // per-update PTE checks + deferred TLB drains
-    bool check_tlb_inserts = true;
-    bool check_dma = true;
     // Checkpoint TLB sweeps audit only entries inserted since the previous
     // checkpoint (per vCPU). Staleness from unmaps is caught by the
     // deferred-unmap drains, so coverage is unchanged; set false to force
@@ -78,22 +74,22 @@ class Auditor : public ukvm::Observer {
   Auditor(const Auditor&) = delete;
   Auditor& operator=(const Auditor&) = delete;
 
-  // Attach a kernel; installs its mutation hooks and hooks every existing
-  // address space. Call after the kernel has booted.
+  // Attach the kernel whose tasks or domains to audit, after it has booted.
   void AttachUkernel(ukern::Kernel& kernel);
   void AttachVmm(uvmm::Hypervisor& hv);
 
-  // Registers a standalone space (ownership-only discipline) and hooks it.
+  // Registers a standalone space (ownership-only discipline); its maps and
+  // unmaps are reported on the machine's bus from now on.
   void AttachSpace(ukvm::DomainId domain, hwsim::PageTable& space);
 
-  // Unhooks and unregisters a raw space before it is destroyed. Deferred
-  // unmap probes already queued for it stay queued — they resolve through
-  // the machine's dead-space registry, never the table itself.
+  // Unregisters a raw space before it is destroyed. Deferred unmap probes
+  // already queued for it stay queued — they resolve through the machine's
+  // dead-space registry, never the table itself.
   void DetachSpace(hwsim::PageTable& space);
 
-  // Full audit: refresh space hooks, drain deferred checks, run every
-  // invariant scan, and verify the ledger's pairing groups are balanced.
-  // `phase` labels the checkpoint in warnings.
+  // Full audit: drain deferred checks, run every invariant scan, and verify
+  // the ledger's pairing groups are balanced. `phase` labels the checkpoint
+  // in warnings.
   void Checkpoint(const std::string& phase);
 
   // Violations found so far, across all checkers.
@@ -112,17 +108,14 @@ class Auditor : public ukvm::Observer {
   const Options& options() const { return options_; }
 
   // Bus observer: crossings feed the linter and drain deferred unmap
-  // checks, a ledger reset resets the linter, DMA targets are checked.
+  // checks, a ledger reset resets the linter, DMA targets, TLB inserts and
+  // PTE updates are checked.
   void OnEvent(const ukvm::ObsEvent& event) override;
 
  private:
-  void OnPtOp(const hwsim::PageTable* space, ukvm::DomainId domain, SpaceKind kind,
-              hwsim::PageTable::AuditOp op, hwsim::Vaddr vpn, const hwsim::Pte& pte);
+  void OnCrossing(const ukvm::ObsEvent& event);
+  void OnPteUpdate(const ukvm::ObsEvent& event);
   void DrainPendingUnmaps();
-  // (Re)installs the per-space hook on every live space; idempotent, run at
-  // attach time and every checkpoint so later-created spaces get covered.
-  void RefreshSpaceHooks();
-  void HookSpace(ukvm::DomainId domain, SpaceKind kind, hwsim::PageTable& space);
 
   hwsim::Machine& machine_;
   Options options_;
@@ -131,7 +124,6 @@ class Auditor : public ukvm::Observer {
   std::unique_ptr<RaceDetector> race_;
   ukern::Kernel* kernel_ = nullptr;
   uvmm::Hypervisor* hv_ = nullptr;
-  std::vector<std::pair<ukvm::DomainId, hwsim::PageTable*>> raw_spaces_;
 
   struct PendingUnmap {
     const hwsim::PageTable* space;  // pointer-hashed only, never dereferenced
@@ -139,10 +131,10 @@ class Auditor : public ukvm::Observer {
   };
   std::vector<PendingUnmap> pending_unmaps_;
 
-  // Scan-skipping dirt: set by the grant/mapdb hooks, cleared when the
-  // corresponding full scan runs at a checkpoint.
-  bool grants_dirty_ = true;
-  bool mapdb_dirty_ = true;
+  // Grant-table / mapdb generations at their last full scan; a checkpoint
+  // skips a scan whose structure has not changed since. None yet at first.
+  uint64_t grants_scanned_ = UINT64_MAX;
+  uint64_t mapdb_scanned_ = UINT64_MAX;
 
   // Per-vCPU TLB insert stamps consumed by the incremental coherence sweep.
   std::vector<uint64_t> tlb_stamps_;

@@ -95,6 +95,26 @@ std::vector<InvariantAuditor::SpaceView> InvariantAuditor::Views() const {
   return views;
 }
 
+std::optional<SpaceKind> InvariantAuditor::WatchedKind(ukvm::DomainId owner,
+                                                       const hwsim::PageTable* space) const {
+  if (kernel_ != nullptr) {
+    if (const ukern::Task* t = kernel_->FindTask(owner); t != nullptr && &t->space == space) {
+      return SpaceKind::kUkernelTask;
+    }
+  }
+  if (hv_ != nullptr) {
+    if (const uvmm::Domain* d = hv_->FindDomain(owner); d != nullptr && &d->space == space) {
+      return SpaceKind::kVmmDomain;
+    }
+  }
+  for (const auto& [domain, raw] : raw_spaces_) {
+    if (raw == space) {
+      return SpaceKind::kRaw;
+    }
+  }
+  return std::nullopt;
+}
+
 std::map<std::pair<uint32_t, hwsim::Frame>, uint64_t> InvariantAuditor::GrantMappedFrames() const {
   std::map<std::pair<uint32_t, hwsim::Frame>, uint64_t> mapped;
   if (hv_ == nullptr) {
@@ -436,8 +456,8 @@ void InvariantAuditor::CheckUnmapFlushed(const hwsim::PageTable* space, hwsim::V
   }
 }
 
-void InvariantAuditor::CheckTlbInsert(const hwsim::TlbEntry& entry) {
-  hwsim::Cpu& cpu = machine_.cpu();
+void InvariantAuditor::CheckTlbInsert(uint32_t vcpu, const hwsim::TlbEntry& entry) {
+  hwsim::Cpu& cpu = machine_.cpu(vcpu);
   hwsim::PageTable* space = cpu.address_space();
   if (space == nullptr) {
     return;

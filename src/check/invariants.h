@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -128,11 +129,15 @@ class InvariantAuditor {
   // still be owned by — or stay connected to — it.
   void CheckDeadDomainReclamation();
 
-  // Ownership + privilege scan of a single space (used by the paravirtual
-  // PT-update hook, which knows which domain's table just changed).
+  // The discipline `space`, a table of `owner`, is audited under: nullopt
+  // unless it is an attached task's, domain's or raw space's table.
+  std::optional<SpaceKind> WatchedKind(ukvm::DomainId owner, const hwsim::PageTable* space) const;
+
+  // Ownership + privilege scan of a single space (used after a paravirtual
+  // PT-update batch, which names the domain whose table just changed).
   void CheckSpace(ukvm::DomainId domain, SpaceKind kind, const hwsim::PageTable& space);
 
-  // --- Incremental checks (hook granularity) ---------------------------------
+  // --- Incremental checks (event granularity) --------------------------------
 
   // A PTE was just installed: is the frame live, non-privileged, outside
   // the hole?
@@ -145,9 +150,9 @@ class InvariantAuditor {
   // space is destroyed (task teardown queues these).
   void CheckUnmapFlushed(const hwsim::PageTable* space, hwsim::Vaddr vpn);
 
-  // The MMU just inserted a TLB entry: it must agree with the currently
-  // loaded space's PTE.
-  void CheckTlbInsert(const hwsim::TlbEntry& entry);
+  // vCPU `vcpu`'s MMU just inserted a TLB entry: it must agree with the PTE
+  // of the space that vCPU has loaded.
+  void CheckTlbInsert(uint32_t vcpu, const hwsim::TlbEntry& entry);
 
   // A device DMA, submitted under `initiator`, touches `frame`.
   void CheckDmaTarget(hwsim::Frame frame, bool to_memory, ukvm::DomainId initiator);

@@ -1,8 +1,10 @@
 // The observation bus: the one way to watch a machine. Charges, ledger
-// crossings and resets, IRQs, device DMA and the race detector's sync edges
-// and shared accesses all arrive as one ObsEvent; the tracer (with its
-// profiler), request tracer, auditor and race detector each attach once
-// with a mask of the kinds they consume, and events fan out in attach order.
+// crossings and resets, IRQs, device DMA, TLB inserts, page-table
+// map/unmap and the race detector's sync edges and shared accesses all
+// arrive as one ObsEvent; the tracer (with its profiler), request tracer,
+// auditor and race detector each attach once with a mask of the kinds they
+// consume, and events fan out in attach order. No component takes a
+// per-object callback instead.
 //
 // Boundary rules: ObsEvent is one versioned POD with fixed-width fields and
 // a static string label, and emitting never allocates. Emit sites test
@@ -24,7 +26,7 @@
 namespace ukvm {
 
 // Bumped on any change to ObsEvent's layout or to what a kind's fields mean.
-inline constexpr uint16_t kObsVersion = 1;
+inline constexpr uint16_t kObsVersion = 2;
 
 enum class ObsKind : uint8_t {
   kCharge = 0,   // cycles billed to `domain` (global accounting)
@@ -39,8 +41,19 @@ enum class ObsKind : uint8_t {
   kRingPublish,  // producer published `index` entries on ring side `key`
   kRingRead,     // consumer reads absolute `index` (ring offset `slot`) of `key`
   kContextDead,  // `domain` died; its shared mappings were force-revoked
+  kTlbInsert,    // vCPU `slot` cached salted vpn `key` -> frame `index`; flag = perms
+  kPteUpdate,    // `domain`'s `table` mapped (or, flag kObsUnmap, removed) vpn `key`
+                 // -> frame `index`; flag = perms of the PTE installed or removed
   kCount,
 };
+
+// Flag bits of kTlbInsert and kPteUpdate.
+inline constexpr uint8_t kObsWritable = 1;
+inline constexpr uint8_t kObsUser = 2;
+inline constexpr uint8_t kObsUnmap = 4;  // kPteUpdate: the PTE was removed
+constexpr uint8_t ObsPerms(bool writable, bool user) {
+  return static_cast<uint8_t>((writable ? kObsWritable : 0) | (user ? kObsUser : 0));
+}
 
 using ObsMask = uint32_t;
 constexpr ObsMask ObsBit(ObsKind kind) { return ObsMask{1} << static_cast<uint32_t>(kind); }
@@ -72,7 +85,7 @@ constexpr uint64_t RaceEdgeKey(RaceEdgeKind kind, uint64_t a, uint64_t b = 0) {
 struct ObsEvent {
   uint16_t version = kObsVersion;
   ObsKind kind = ObsKind::kCount;
-  uint8_t flag = 0;        // kIrq: delivered; kDma: device writes memory
+  uint8_t flag = 0;        // kIrq: delivered; kDma: device writes memory; kObs* bits
   uint32_t mechanism = 0;  // kCrossing: ledger mechanism id
   uint32_t name = 0;       // kCrossing: name-table id of the mechanism's name
   uint32_t xing_name = 0;  // kCrossing: name-table id of "xing.<name>"
@@ -82,10 +95,11 @@ struct ObsEvent {
   uint64_t seq = 0;        // kCrossing: ordinal since the ledger was created
   uint64_t cycles = 0;     // kCharge, kCrossing
   uint64_t bytes = 0;      // kCrossing
-  uint64_t key = 0;        // edge/ring key, shared object, DMA frame, IRQ line
-  uint64_t index = 0;      // publish count, ring read index, shared-cell offset
-  uint64_t slot = 0;       // kRingRead: the slot's offset within the ring
+  uint64_t key = 0;        // edge/ring key, shared object, DMA frame, IRQ line, vpn
+  uint64_t index = 0;      // publish count, ring read index, shared-cell offset, frame
+  uint64_t slot = 0;       // kRingRead: the slot's offset within the ring; kTlbInsert: vCPU
   const char* label = nullptr;  // shared access / ring read: static site label
+  const void* table = nullptr;  // kPteUpdate: the page table, identity only
 };
 static_assert(std::is_trivially_copyable_v<ObsEvent> && std::is_standard_layout_v<ObsEvent>);
 

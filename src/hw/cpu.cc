@@ -19,7 +19,7 @@ const char* PrivLevelName(PrivLevel level) {
 }
 
 Cpu::Cpu(Machine& machine, uint32_t tlb_entries, uint32_t vcpu_id)
-    : machine_(machine), vcpu_id_(vcpu_id), tlb_(tlb_entries) {}
+    : machine_(machine), vcpu_id_(vcpu_id), tlb_(tlb_entries, &machine.bus(), vcpu_id) {}
 
 void Cpu::SwitchAddressSpace(PageTable* space) {
   if (space == address_space_) {

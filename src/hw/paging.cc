@@ -92,9 +92,7 @@ ukvm::Err PageTable::Map(Vaddr va, Frame frame, PtePerms perms) {
   pte.user = perms.user;
   pte.accessed = false;
   pte.dirty = false;
-  if (audit_hook_) {
-    audit_hook_(AuditOp::kMap, VpnOf(va), pte);
-  }
+  Report(0, va, pte);
   return ukvm::Err::kNone;
 }
 
@@ -109,10 +107,16 @@ ukvm::Err PageTable::Unmap(Vaddr va) {
   const Pte removed = *pte;
   *pte = Pte{};
   --mapped_pages_;
-  if (audit_hook_) {
-    audit_hook_(AuditOp::kUnmap, VpnOf(va), removed);
-  }
+  Report(ukvm::kObsUnmap, va, removed);
   return ukvm::Err::kNone;
+}
+
+void PageTable::Report(uint8_t op, Vaddr va, const Pte& pte) const {
+  if (bus_ != nullptr && bus_->Wants(ukvm::ObsKind::kPteUpdate)) {
+    bus_->Emit({.kind = ukvm::ObsKind::kPteUpdate,
+                .flag = static_cast<uint8_t>(op | ukvm::ObsPerms(pte.writable, pte.user)),
+                .domain = owner_, .key = VpnOf(va), .index = pte.frame, .table = this});
+  }
 }
 
 ukvm::Result<Pte> PageTable::Lookup(Vaddr va) const {

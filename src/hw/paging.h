@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "src/core/error.h"
+#include "src/core/ids.h"
+#include "src/core/obs.h"
 #include "src/hw/memory.h"
 
 namespace hwsim {
@@ -107,14 +109,13 @@ class PageTable {
   // Visits every present mapping (vpn, pte).
   void ForEachMapping(const std::function<void(Vaddr vpn, const Pte&)>& fn) const;
 
-  // Observer for Map/Unmap on this table. For kMap the PTE is the entry as
-  // installed; for kUnmap it is the entry that was just removed. Installed
-  // per-instance by the invariant auditor; pass nullptr to detach. Direct
-  // WalkCreate writers (the paravirtual PT interface) bypass this and carry
-  // their own hook.
-  enum class AuditOp : uint8_t { kMap, kUnmap };
-  void SetAuditHook(std::function<void(AuditOp, Vaddr vpn, const Pte&)> hook) {
-    audit_hook_ = std::move(hook);
+  // From now on, reports each Map/Unmap on `bus` as a kPteUpdate event of
+  // `owner`'s table: set once, by the kernel or hypervisor that creates the
+  // table (or by the auditor for a raw one). Direct WalkCreate writers
+  // bypass the report.
+  void Observe(ukvm::ObsBus* bus, ukvm::DomainId owner) {
+    bus_ = bus;
+    owner_ = owner;
   }
 
   uint64_t mapped_pages() const { return mapped_pages_; }
@@ -154,6 +155,7 @@ class PageTable {
   };
 
   bool VaInRange(Vaddr va) const { return va < max_va(); }
+  void Report(uint8_t op, Vaddr va, const Pte& pte) const;
 
   uint32_t page_shift_;
   uint32_t vaddr_bits_;
@@ -162,7 +164,8 @@ class PageTable {
   const void* loaded_on_ = nullptr;
   uint64_t mapped_pages_ = 0;
   std::unordered_map<uint64_t, std::unique_ptr<LeafTable>> directory_;
-  std::function<void(AuditOp, Vaddr, const Pte&)> audit_hook_;
+  ukvm::ObsBus* bus_ = nullptr;
+  ukvm::DomainId owner_;
 };
 
 }  // namespace hwsim

@@ -4,7 +4,10 @@
 
 namespace hwsim {
 
-Tlb::Tlb(uint32_t capacity) : slots_(capacity) { assert(capacity > 0); }
+Tlb::Tlb(uint32_t capacity, ukvm::ObsBus* bus, uint32_t vcpu)
+    : slots_(capacity), bus_(bus), vcpu_(vcpu) {
+  assert(capacity > 0);
+}
 
 std::optional<TlbEntry> Tlb::Lookup(Vaddr vpn) {
   auto it = index_.find(vpn);
@@ -30,8 +33,9 @@ void Tlb::Insert(Vaddr vpn, Frame frame, bool writable, bool user) {
     index_[vpn] = slot;
   }
   slots_[slot] = TlbEntry{vpn, frame, writable, user, true, ++insert_seq_};
-  if (insert_hook_) {
-    insert_hook_(slots_[slot]);
+  if (bus_ != nullptr && bus_->Wants(ukvm::ObsKind::kTlbInsert)) {
+    bus_->Emit({.kind = ukvm::ObsKind::kTlbInsert, .flag = ukvm::ObsPerms(writable, user),
+                .key = vpn, .index = frame, .slot = vcpu_});
   }
 }
 

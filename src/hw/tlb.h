@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/obs.h"
 #include "src/hw/memory.h"
 
 namespace hwsim {
@@ -32,7 +33,9 @@ struct TlbEntry {
 
 class Tlb {
  public:
-  explicit Tlb(uint32_t capacity);
+  // With a `bus`, every Insert is reported as a kTlbInsert event from vCPU
+  // `vcpu` (the owning Cpu passes its machine's bus and its id).
+  explicit Tlb(uint32_t capacity, ukvm::ObsBus* bus = nullptr, uint32_t vcpu = 0);
 
   std::optional<TlbEntry> Lookup(Vaddr vpn);
   void Insert(Vaddr vpn, Frame frame, bool writable, bool user);
@@ -51,12 +54,6 @@ class Tlb {
   // Visits every valid entry inserted after stamp `after` (exclusive).
   void ForEachValidSince(uint64_t after, const std::function<void(const TlbEntry&)>& fn) const;
 
-  // Observer called after each Insert with the entry as stored. Installed
-  // by the invariant auditor; pass nullptr to detach.
-  void SetInsertHook(std::function<void(const TlbEntry&)> hook) {
-    insert_hook_ = std::move(hook);
-  }
-
   uint32_t capacity() const { return static_cast<uint32_t>(slots_.size()); }
   // Stamp of the most recent insert; entries carry stamps in (0, insert_seq].
   uint64_t insert_seq() const { return insert_seq_; }
@@ -73,7 +70,8 @@ class Tlb {
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t flushes_ = 0;
-  std::function<void(const TlbEntry&)> insert_hook_;
+  ukvm::ObsBus* bus_;
+  uint32_t vcpu_;
 };
 
 }  // namespace hwsim

@@ -42,7 +42,9 @@ Kernel::~Kernel() {
 Result<DomainId> Kernel::CreateTask(ThreadId pager) {
   machine_.ChargeTo(kKernelDomain, machine_.costs().kernel_op);
   const DomainId id{next_task_id_++};
-  tasks_.emplace(id, std::make_unique<Task>(id, machine_.platform(), pager));
+  auto task = std::make_unique<Task>(id, machine_.platform(), pager);
+  task->space.Observe(&machine_.bus(), id);
+  tasks_.emplace(id, std::move(task));
   if (!root_task_.valid()) {
     root_task_ = id;
   }

@@ -32,9 +32,7 @@ MapNode* MapDb::AddRoot(ukvm::DomainId task, hwsim::Vaddr vpn, hwsim::Frame fram
   MapNode* raw = node.get();
   roots_.push_back(std::move(node));
   IndexNode(raw);
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ++generation_;
   return raw;
 }
 
@@ -49,9 +47,7 @@ MapNode* MapDb::AddChild(MapNode* parent, ukvm::DomainId task, hwsim::Vaddr vpn,
   MapNode* raw = node.get();
   parent->children.push_back(std::move(node));
   IndexNode(raw);
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ++generation_;
   return raw;
 }
 
@@ -66,9 +62,7 @@ ukvm::Err MapDb::MoveNode(MapNode* node, ukvm::DomainId new_task, hwsim::Vaddr n
   node->task = new_task;
   node->vpn = new_vpn;
   IndexNode(node);
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ++generation_;
   return ukvm::Err::kNone;
 }
 
@@ -105,9 +99,7 @@ void MapDb::RemoveSubtree(MapNode* node, bool include_self, const RemovalFn& on_
     on_remove(node->task, node->vpn);
     DestroyNode(node);
   }
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ++generation_;
 }
 
 void MapDb::RemoveAllOf(ukvm::DomainId task, const RemovalFn& on_remove) {

@@ -57,9 +57,9 @@ class MapDb {
   // Visits every node in the database; for the invariant auditor.
   void ForEachNode(const std::function<void(const MapNode&)>& fn) const;
 
-  // Observer called after any structural mutation (add, move, remove).
-  // Installed by the auditor; nullptr detaches.
-  void SetAuditHook(std::function<void()> hook) { audit_hook_ = std::move(hook); }
+  // Counts structural mutations (add, move, remove), so the auditor can
+  // skip its coherence scan when nothing changed.
+  uint64_t generation() const { return generation_; }
 
   size_t node_count() const { return index_.size(); }
 
@@ -83,7 +83,7 @@ class MapDb {
 
   std::vector<std::unique_ptr<MapNode>> roots_;
   std::unordered_map<Key, MapNode*, KeyHash> index_;
-  std::function<void()> audit_hook_;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace ukern

@@ -122,9 +122,10 @@ class GrantTable {
   // Visits every in-use grant entry.
   void ForEachActive(const std::function<void(const GrantView&)>& fn) const;
 
-  // Observer called after any operation that changes grant state (grant,
-  // end, map, unmap, transfer). Installed by the auditor; nullptr detaches.
-  void SetAuditHook(std::function<void()> hook) { audit_hook_ = std::move(hook); }
+  // Counts operations that change mapping state (map, unmap, transfer, and
+  // dropping or reclaiming a domain's grants), so the auditor can skip its
+  // refcount scan when nothing changed.
+  uint64_t generation() const { return generation_; }
 
   uint64_t transfers() const { return transfers_; }
   uint64_t copies() const { return copies_; }
@@ -164,7 +165,7 @@ class GrantTable {
   uint32_t batch_depth_ = 0;
   bool batch_shootdown_pending_ = false;
   uint64_t deferred_shootdowns_ = 0;
-  std::function<void()> audit_hook_;
+  uint64_t generation_ = 0;
 };
 
 // Persistent-grant recycling cache (Xen's "persistent grants" protocol

@@ -90,6 +90,7 @@ Result<DomainId> Hypervisor::CreateDomain(const std::string& name, uint64_t page
   }
   const DomainId id{next_domain_id_++};
   auto dom = std::make_unique<Domain>(id, name, machine_.platform(), privileged);
+  dom->space.Observe(&machine_.bus(), id);
   dom->p2m.reserve(pages);
   for (uint64_t i = 0; i < pages; ++i) {
     auto frame = machine_.memory().AllocFrame(id);

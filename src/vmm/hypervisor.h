@@ -135,8 +135,7 @@ class Hypervisor : public hwsim::TrapHandler {
   void SetCrashRecovery(bool enabled) { crash_recovery_ = enabled; }
   bool crash_recovery() const { return crash_recovery_; }
 
-  // Visits every live domain (order unspecified); for the invariant auditor,
-  // which also installs per-space audit hooks, hence the non-const refs.
+  // Visits every live domain (order unspecified); for the invariant auditor.
   void ForEachDomain(const std::function<void(Domain&)>& fn);
 
   EventChannelTable& evtchn() { return *evtchn_; }

@@ -60,9 +60,6 @@ Err PtVirt::Apply(Domain& dom, std::span<const MmuUpdate> updates) {
   }
   machine_.ledger().Record(mech_update_, dom.id, dom.id, 0,
                            updates.size() * machine_.memory().page_size());
-  if (audit_hook_) {
-    audit_hook_(dom);
-  }
   return Err::kNone;
 }
 

@@ -112,9 +112,7 @@ TEST(CheckMutation, TlbFrameMismatchFlagged) {
 
 TEST(CheckMutation, StaleTlbAfterDestroyFlagged) {
   hwsim::Machine machine(hwsim::MakeX86Platform(), 8ull * 1024 * 1024, 2);
-  Auditor::Options opts;
-  opts.check_tlb_inserts = false;  // we plant the entry by hand below
-  Auditor auditor(machine, opts);
+  Auditor auditor(machine);
 
   uint64_t salt = 0;
   {
@@ -156,9 +154,7 @@ TEST(CheckRegression, UnattributableTlbEntrySkippedExplicitly) {
   // view and no dead-space record: the auditor cannot dereference anything,
   // so it must land on the explicit skip counter — not flag, not vanish.
   hwsim::Machine machine(hwsim::MakeX86Platform(), 8ull * 1024 * 1024);
-  Auditor::Options opts;
-  opts.check_tlb_inserts = false;
-  Auditor auditor(machine, opts);
+  Auditor auditor(machine);
 
   uint64_t salt = 0;
   {
@@ -178,8 +174,6 @@ TEST(CheckIncremental, CheckpointAuditsOnlyNewEntries) {
   // one new entry under incremental ones.
   for (const bool incremental : {false, true}) {
     hwsim::Machine machine(hwsim::MakeX86Platform(), 8ull * 1024 * 1024);
-    // The auditor detaches its space hooks on destruction, so the space
-    // must outlive it (same member order as the stacks).
     hwsim::PageTable space(machine.platform().page_shift, machine.platform().vaddr_bits);
     Auditor::Options opts;
     opts.incremental_tlb = incremental;
@@ -229,6 +223,39 @@ TEST(CheckMutation, UserMappingOfKernelFrameFlagged) {
   // Corruption: user-accessible PTE onto the kernel's frame.
   ASSERT_EQ(f.space.Map(0x2000'0000, *frame, {true, true}), Err::kNone);
   EXPECT_GE(CountInvariant(f.auditor, Invariant::kPrivilegedFrameUserMapped), 1u);
+}
+
+// A task or domain created after the last checkpoint is audited from its
+// first map, with no further Checkpoint() in between.
+TEST(CheckMutation, UkernelTaskCreatedAfterCheckpointAuditedAtFirstMap) {
+  ustack::UkernelStack stack;
+  ASSERT_NE(stack.auditor(), nullptr);
+  stack.auditor()->Checkpoint("before-create");
+  auto id = stack.kernel().CreateTask(ukvm::ThreadId::Invalid());
+  ASSERT_TRUE(id.ok());
+  ukern::Task* task = stack.kernel().FindTask(*id);
+  ASSERT_NE(task, nullptr);
+  auto frame = stack.machine().memory().AllocFrame(DomainId{0});  // kernel-owned
+  ASSERT_TRUE(frame.ok());
+  // Corruption: user-accessible PTE onto the kernel's frame in the new task.
+  ASSERT_EQ(task->space.Map(0x7000'0000, *frame, {true, true}), Err::kNone);
+  EXPECT_GE(CountInvariant(*stack.auditor(), Invariant::kPrivilegedFrameUserMapped), 1u);
+}
+
+TEST(CheckMutation, VmmDomainCreatedAfterCheckpointAuditedAtFirstMap) {
+  ustack::VmmStack stack;
+  ASSERT_NE(stack.auditor(), nullptr);
+  stack.auditor()->Checkpoint("before-create");
+  auto id = stack.hv().CreateDomain("late", 4, /*privileged=*/false);
+  ASSERT_TRUE(id.ok());
+  uvmm::Domain* dom = stack.hv().FindDomain(*id);
+  ASSERT_NE(dom, nullptr);
+  auto frame = stack.machine().memory().AllocFrame(DomainId{0});  // hypervisor-owned
+  ASSERT_TRUE(frame.ok());
+  // Corruption: user-accessible PTE onto the hypervisor's frame in the new
+  // domain, installed behind mmu_update's back.
+  ASSERT_EQ(dom->space.Map(0x7000'0000, *frame, {true, true}), Err::kNone);
+  EXPECT_GE(CountInvariant(*stack.auditor(), Invariant::kPrivilegedFrameUserMapped), 1u);
 }
 
 TEST(CheckMutation, UkernelForeignFrameWithoutMapdbFlagged) {

@@ -135,8 +135,7 @@ FuzzResult RunNativeFuzz(uint64_t seed, uint32_t steps, bool incremental_tlb) {
   SplitMix64 rng(seed * 2 + 1);
   hwsim::Machine machine(PlatformForSeed(seed), 16ull * 1024 * 1024, VcpusForSeed(seed));
 
-  // Declared before the auditor: it detaches its space hooks on destruction,
-  // so every table still attached at scope exit must outlive it.
+  // Declared after the machine: each attached table reports on its bus.
   struct Space {
     std::unique_ptr<hwsim::PageTable> table;
     DomainId domain;
