@@ -577,7 +577,7 @@ IpcMessage Kernel::CallFast(ThreadId caller, ThreadId dest, IpcMessage msg) {
   d = FindThread(dest);
   const bool server_alive =
       d != nullptr && d->state != ThreadState::kDead && TaskAlive(d->task);
-  if (features_.reply_wait && server_alive && reply.IsRegisterOnly()) {
+  if (features_.family && server_alive && reply.IsRegisterOnly()) {
     ++fastpath_stats_.replywait_coalesced;
     if (d->state == ThreadState::kRunning) {
       d->state = ThreadState::kWaiting;
@@ -780,7 +780,7 @@ Err Kernel::SendFast(ThreadId caller, ThreadId dest, IpcMessage msg) {
 }
 
 Err Kernel::Send(ThreadId caller, ThreadId dest, IpcMessage msg) {
-  if (ipc_fastpath_ && features_.send) {
+  if (ipc_fastpath_ && features_.family) {
     // Only the register-only shape rides the stubs; strings and map items
     // keep the slow path's exact charge-and-reply discipline.
     if (!msg.has_string && msg.map_items.empty() &&
@@ -855,7 +855,7 @@ Err Kernel::Notify(ThreadId dest, uint64_t bits) {
   if (d == nullptr || d->state == ThreadState::kDead || !TaskAlive(d->task)) {
     return Err::kDead;
   }
-  if (ipc_fastpath_ && features_.notify) {
+  if (ipc_fastpath_ && features_.family) {
     // Fast delivery needs a receiver blocked in receive with a notify
     // handler; everything else (latch-only, busy receiver) falls back to
     // the slow path's exact charge sequence.
@@ -1017,7 +1017,7 @@ Err Kernel::DoResolveFault(ThreadId thread, hwsim::Vaddr va, bool write) {
   IpcMessage fault = IpcMessage::Short(kPageFaultLabel, va, write ? 1 : 0);
   machine_.ledger().Record(mech_.pf_ipc, tcb->task, pager->task, 0, 0);
   IpcMessage reply;
-  if (ipc_fastpath_ && features_.fault_ipc && pager->state == ThreadState::kWaiting &&
+  if (ipc_fastpath_ && features_.family && pager->state == ThreadState::kWaiting &&
       pager->handler) {
     // E23: the fault IPC rides the fast stubs. The fault trap itself stays
     // a full-cost hardware trap (TouchPage charges trap_entry/trap_return

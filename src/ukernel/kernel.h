@@ -107,18 +107,17 @@ class Kernel : public hwsim::TrapHandler {
   void SetIpcFastpath(bool on) { ipc_fastpath_ = on; }
   bool ipc_fastpath() const { return ipc_fastpath_; }
 
-  // E23: the rest of the Liedtke family. Which members are armed when the
-  // fast path is on; `Call` itself is the base member and is implied by
-  // SetIpcFastpath. Default is the full family; CallOnly() reproduces the
-  // E21 configuration exactly (bench_e21 pins it so its committed numbers
-  // stay bit-identical).
+  // E23: the rest of the Liedtke family, armed when the fast path is on
+  // (`Call` itself is implied by SetIpcFastpath). `family` arms its four
+  // members together: reply + next receive fused into one crossing, and
+  // register-only Send, Notify to a waiting receiver and the pager's fault
+  // IPC on the fast stubs. Default is the full family; CallOnly()
+  // reproduces the E21 configuration exactly (bench_e21 pins it so its
+  // committed numbers stay bit-identical).
   struct FastpathFeatures {
-    bool reply_wait = true;     // server reply + next receive fuse into one crossing
-    bool send = true;           // register-only Send rides the fast stubs
-    bool notify = true;         // Notify to a waiting receiver rides the fast stubs
-    bool fault_ipc = true;      // the pager's fault IPC rides the fast stubs
+    bool family = true;
     bool pinned_window = true;  // per-vCPU pinned temp-map string window
-    static FastpathFeatures CallOnly() { return {false, false, false, false, false}; }
+    static FastpathFeatures CallOnly() { return {false, false}; }
   };
   void SetFastpathFeatures(const FastpathFeatures& f) { features_ = f; }
   const FastpathFeatures& fastpath_features() const { return features_; }
@@ -211,8 +210,7 @@ class Kernel : public hwsim::TrapHandler {
   MapDb& mapdb() { return mapdb_; }
   uint64_t ipc_calls() const { return ipc_calls_; }
 
-  // Visits every live task (order unspecified); for the invariant auditor,
-  // which also installs per-space audit hooks, hence the non-const refs.
+  // Visits every live task (order unspecified); for the invariant auditor.
   void ForEachTask(const std::function<void(Task&)>& fn);
 
  private:
