@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "src/check/auditor.h"
 #include "src/hw/disk.h"
 #include "src/hw/machine.h"
 #include "src/stacks/native_stack.h"
@@ -54,6 +55,56 @@ void BM_PageTableMapUnmap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PageTableMapUnmap);
+
+// The same map/unmap pair on a raw table an auditor watches: each map is
+// checked at once, each unmap queues a TLB probe. A crossing every 256
+// iterations drains the probes, as the next crossing does in a stack.
+void BM_AuditedPageTableMapUnmap(benchmark::State& state) {
+  hwsim::Machine machine(hwsim::MakeX86Platform(), 1 << 20);
+  const ukvm::DomainId owner(7);
+  hwsim::PageTable pt(machine.platform().page_shift, machine.platform().vaddr_bits);
+  ucheck::Auditor auditor(machine);
+  auditor.AttachSpace(owner, pt);
+  const hwsim::Frame frame = *machine.memory().AllocFrame(owner);
+  const uint32_t notify =
+      machine.ledger().InternMechanism("l4.ipc.notify", ukvm::CrossingKind::kAsyncNotify);
+  uint64_t va = 0;
+  uint32_t n = 0;
+  for (auto _ : state) {
+    (void)pt.Map(va, frame, hwsim::PtePerms{true, true});
+    (void)pt.Unmap(va);
+    va = (va + 4096) & 0xFFFFFFF;
+    if (++n % 256 == 0) {
+      machine.ledger().Record(notify, owner, owner, 0, 0);
+    }
+  }
+}
+BENCHMARK(BM_AuditedPageTableMapUnmap);
+
+// TLB refills under an auditor: the loaded space maps twice as many pages
+// as the TLB holds and translation walks them in order, so every
+// translation misses and every insert is checked against its PTE.
+void BM_AuditedTlbFill(benchmark::State& state) {
+  hwsim::Machine machine(hwsim::MakeX86Platform(), 4 << 20);
+  const ukvm::DomainId owner(7);
+  hwsim::PageTable pt(machine.platform().page_shift, machine.platform().vaddr_bits);
+  ucheck::Auditor auditor(machine);
+  auditor.AttachSpace(owner, pt);
+  const uint64_t pages = 2ull * machine.cpu().tlb().capacity();
+  const uint64_t page = machine.memory().page_size();
+  for (uint64_t i = 0; i < pages; ++i) {
+    (void)pt.Map(i * page, *machine.memory().AllocFrame(owner), hwsim::PtePerms{true, true});
+  }
+  machine.cpu().SetDomain(owner);
+  machine.cpu().SwitchAddressSpace(&pt);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(machine.cpu().Translate(i * page, false, true));
+    i = (i + 1) % pages;
+  }
+  machine.cpu().SwitchAddressSpace(nullptr);
+}
+BENCHMARK(BM_AuditedTlbFill);
 
 void BM_TlbLookup(benchmark::State& state) {
   hwsim::Tlb tlb(64);
