@@ -9,8 +9,8 @@ namespace {
 
 std::vector<std::string> UkernelKernelFiles() {
   return {"src/ukernel/kernel.cc", "src/ukernel/kernel.h", "src/ukernel/ipc.h",
-          "src/ukernel/mapdb.cc", "src/ukernel/mapdb.h",   
-          "src/ukernel/sched.h",  "src/ukernel/task.h",    "src/ukernel/thread.h"};
+          "src/ukernel/mapdb.cc", "src/ukernel/mapdb.h",  "src/ukernel/sched.h",
+          "src/ukernel/task.h",   "src/ukernel/thread.h"};
 }
 
 std::vector<std::string> HypervisorFiles() {
@@ -28,6 +28,14 @@ std::vector<std::string> MiniOsFiles() {
           "src/os/syscall.h"};
 }
 
+// A guest MiniOS on a stack that can turn crash recovery on also carries
+// the block client's journal replay.
+std::vector<std::string> RecoverableMiniOsFiles() {
+  std::vector<std::string> files = MiniOsFiles();
+  files.push_back("src/os/block_replay.cc");
+  return files;
+}
+
 std::vector<std::string> DriverFiles() {
   return {"src/drivers/nic_driver.cc", "src/drivers/nic_driver.h",
           "src/drivers/disk_driver.cc", "src/drivers/disk_driver.h"};
@@ -42,7 +50,7 @@ std::vector<TcbComponent> UkernelTcbComponents() {
                    {"src/stacks/ukservers.cc", "src/stacks/ukservers.h"}},
       TcbComponent{"net driver server", TrustClass::kIsolated, DriverFiles()},
       TcbComponent{"block service", TrustClass::kIsolated, {"src/hw/disk.cc", "src/hw/disk.h"}},
-      TcbComponent{"MiniOS server (per guest)", TrustClass::kIsolated, MiniOsFiles()},
+      TcbComponent{"MiniOS server (per guest)", TrustClass::kIsolated, RecoverableMiniOsFiles()},
       TcbComponent{"syscall redirection port", TrustClass::kIsolated,
                    {"src/os/ports/ukernel_port.cc", "src/os/ports/ukernel_port.h"}},
   };
@@ -57,7 +65,7 @@ std::vector<TcbComponent> VmmTcbComponents(bool parallax_storage) {
       TcbComponent{"Dom0 drivers", TrustClass::kCriticalPath, DriverFiles()},
       TcbComponent{"netback", TrustClass::kCriticalPath,
                    {"src/stacks/netsplit.cc", "src/stacks/netsplit.h"}},
-      TcbComponent{"MiniOS guest (per VM)", TrustClass::kIsolated, MiniOsFiles()},
+      TcbComponent{"MiniOS guest (per VM)", TrustClass::kIsolated, RecoverableMiniOsFiles()},
       TcbComponent{"paravirtual port + frontends", TrustClass::kIsolated,
                    {"src/os/ports/vmm_port.cc", "src/os/ports/vmm_port.h"}},
   };
