@@ -52,7 +52,7 @@ void Auditor::DetachSpace(hwsim::PageTable& space) { invariants_.DetachSpace(&sp
 
 void Auditor::OnPteUpdate(const ukvm::ObsEvent& event) {
   const auto* space = static_cast<const hwsim::PageTable*>(event.table);
-  const std::optional<SpaceKind> kind = invariants_.WatchedKind(event.domain, space);
+  const std::optional<SpaceKind> kind = invariants_.KindOf(space);
   if (!kind.has_value()) {
     return;
   }

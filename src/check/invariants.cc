@@ -95,22 +95,17 @@ std::vector<InvariantAuditor::SpaceView> InvariantAuditor::Views() const {
   return views;
 }
 
-std::optional<SpaceKind> InvariantAuditor::WatchedKind(ukvm::DomainId owner,
-                                                       const hwsim::PageTable* space) const {
-  if (kernel_ != nullptr) {
-    if (const ukern::Task* t = kernel_->FindTask(owner); t != nullptr && &t->space == space) {
-      return SpaceKind::kUkernelTask;
-    }
-  }
-  if (hv_ != nullptr) {
-    if (const uvmm::Domain* d = hv_->FindDomain(owner); d != nullptr && &d->space == space) {
-      return SpaceKind::kVmmDomain;
-    }
-  }
+std::optional<SpaceKind> InvariantAuditor::KindOf(const hwsim::PageTable* space) const {
   for (const auto& [domain, raw] : raw_spaces_) {
     if (raw == space) {
       return SpaceKind::kRaw;
     }
+  }
+  if (kernel_ != nullptr) {
+    return SpaceKind::kUkernelTask;
+  }
+  if (hv_ != nullptr) {
+    return SpaceKind::kVmmDomain;
   }
   return std::nullopt;
 }

@@ -129,9 +129,10 @@ class InvariantAuditor {
   // still be owned by — or stay connected to — it.
   void CheckDeadDomainReclamation();
 
-  // The discipline `space`, a table of `owner`, is audited under: nullopt
-  // unless it is an attached task's, domain's or raw space's table.
-  std::optional<SpaceKind> WatchedKind(ukvm::DomainId owner, const hwsim::PageTable* space) const;
+  // The discipline a table reporting on the machine's bus is audited under:
+  // raw if attached as such, else that of the attached kernel or hypervisor
+  // (the only other givers of a bus); nullopt if neither is attached.
+  std::optional<SpaceKind> KindOf(const hwsim::PageTable* space) const;
 
   // Ownership + privilege scan of a single space (used after a paravirtual
   // PT-update batch, which names the domain whose table just changed).
