@@ -1,6 +1,6 @@
 // ukvm-check overhead: what the always-on auditor costs.
 //
-// The auditor's hooks charge no simulated cycles — by design, enabling it
+// The auditor's bus observers charge no simulated cycles — by design, enabling it
 // must not perturb any measured number (the first table asserts exactly
 // that). Its real cost is host CPU time spent in the checks, which bounds
 // how much auditing the tier-1 suite can afford to leave default-ON. This
@@ -149,7 +149,7 @@ int main() {
 
   std::printf(
       "\nInvariant: auditing must be invisible in simulated time (sim delta == 0 on\n"
-      "every row: hooks charge no cycles, flushes have no counters) — %s. The host\n"
+      "every row: observers charge no cycles, flushes have no counters) — %s. The host\n"
       "column is the real price; it is what UKVM_CHECK=OFF buys back.\n",
       sim_clean ? "holds" : "VIOLATED");
   return sim_clean ? 0 : 1;

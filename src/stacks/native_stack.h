@@ -61,7 +61,7 @@ class NativeStack {
   hwsim::Disk disk_;
   std::unique_ptr<minios::NativePort> port_;
   std::unique_ptr<minios::Os> os_;
-  // Declared last: destroyed first, detaching its hooks while the machine
+  // Declared last: destroyed first, detaching from the bus while the machine
   // is still alive.
   std::unique_ptr<ucheck::Auditor> auditor_;
 };

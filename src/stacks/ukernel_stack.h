@@ -45,7 +45,7 @@ class UkernelStack {
     DegradePolicy degrade;
     // Constructs the isolation auditor (src/check) over this stack. The
     // default follows the UKVM_CHECK build option; benches flip it off to
-    // measure hook-free baselines.
+    // measure observer-free baselines.
     bool audit = UKVM_CHECK_DEFAULT != 0;
     // E20 happens-before race detection (IPC-edge vector clocks). Off by
     // default; charges no simulated cycles either way.
@@ -170,7 +170,7 @@ class UkernelStack {
   DegradePolicy degrade_;
   ukvm::DomainId monitor_task_ = ukvm::DomainId::Invalid();
   ukvm::ThreadId monitor_thread_ = ukvm::ThreadId::Invalid();
-  // Declared last: destroyed first, detaching its hooks while the kernel
+  // Declared last: destroyed first, detaching from the bus while the kernel
   // and machine are still alive.
   std::unique_ptr<ucheck::Auditor> auditor_;
 };

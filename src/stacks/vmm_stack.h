@@ -76,7 +76,7 @@ class VmmStack {
     DegradePolicy degrade;
     // Constructs the isolation auditor (src/check) over this stack. The
     // default follows the UKVM_CHECK build option; benches flip it off to
-    // measure hook-free baselines.
+    // measure observer-free baselines.
     bool audit = UKVM_CHECK_DEFAULT != 0;
     // E20 happens-before race detection over the split drivers' rings and
     // grant-shared frames. Off by default; the detector charges no simulated
@@ -218,7 +218,7 @@ class VmmStack {
   udrv::RetryPolicy disk_retry_;
   udrv::RetryPolicy nic_retry_;
   DegradePolicy degrade_;
-  // Declared last: destroyed first, detaching its hooks while the
+  // Declared last: destroyed first, detaching from the bus while the
   // hypervisor and machine are still alive.
   std::unique_ptr<ucheck::Auditor> auditor_;
 };
