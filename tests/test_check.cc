@@ -108,6 +108,20 @@ TEST(CheckMutation, TlbFrameMismatchFlagged) {
   EXPECT_GE(CountInvariant(f.auditor, Invariant::kTlbMismatch), 1u);
 }
 
+TEST(CheckMutation, BogusTlbInsertOnAnotherVcpuFlagged) {
+  // An insert is checked against the space loaded on the vCPU that made
+  // it, not against whichever vCPU is current.
+  hwsim::Machine machine(hwsim::MakeX86Platform(), 8ull * 1024 * 1024, 2);
+  hwsim::PageTable space(machine.platform().page_shift, machine.platform().vaddr_bits);
+  Auditor auditor(machine);
+  auditor.AttachSpace(DomainId{7}, space);
+  machine.cpu(1).SwitchAddressSpace(&space);
+  ASSERT_EQ(machine.cpu(0).address_space(), nullptr);
+  // Corruption: vCPU 1 caches a translation its space does not contain.
+  machine.cpu(1).tlb().Insert(0x123, 99, true, true);
+  EXPECT_GE(CountInvariant(auditor, Invariant::kTlbStale), 1u);
+}
+
 // --- E18: shootdown discipline ---------------------------------------------------
 
 TEST(CheckMutation, StaleTlbAfterDestroyFlagged) {
