@@ -304,23 +304,46 @@ TEST(CheckMutation, MapdbNodeWithoutPteFlagged) {
   EXPECT_GE(CountInvariant(*stack.auditor(), Invariant::kMapDbIncoherent), 1u);
 }
 
+TEST(CheckMutation, MapdbScanRerunsAfterAMapdbChange) {
+  // The coherence scan is skipped while the mapping database is unchanged
+  // and reruns once it changes.
+  ustack::UkernelStack stack;
+  ASSERT_NE(stack.auditor(), nullptr);
+  stack.auditor()->Checkpoint("clean");
+  ASSERT_EQ(stack.auditor()->violation_count(), 0u);
+  // Corruption: a database node for a page no PTE maps.
+  ASSERT_NE(stack.kernel().mapdb().AddRoot(stack.guest(0).os_task, /*vpn=*/0x7777, /*frame=*/1),
+            nullptr);
+  stack.auditor()->Checkpoint("mutation");
+  EXPECT_GE(CountInvariant(*stack.auditor(), Invariant::kMapDbIncoherent), 1u);
+}
+
 // --- Grant rules ----------------------------------------------------------------
 
 TEST(CheckMutation, GrantRefcountMismatchFlagged) {
-  ustack::VmmStack stack;
-  ASSERT_NE(stack.auditor(), nullptr);
-  const DomainId guest = stack.guest(0).domain;
-  auto ref = stack.hv().HcGrantAccess(guest, stack.dom0(), /*pfn=*/5, /*writable=*/true);
-  ASSERT_TRUE(ref.ok());
-  const hwsim::Vaddr va = 0xE800'0000;
-  ASSERT_EQ(stack.hv().HcGrantMap(stack.dom0(), guest, *ref, va, true), Err::kNone);
-  // Corruption: tear the mapping out directly, leaving the grant's
-  // active-mapping count at 1 with zero live PTEs.
-  uvmm::Domain* dom0 = stack.hv().FindDomain(stack.dom0());
-  ASSERT_NE(dom0, nullptr);
-  ASSERT_EQ(dom0->space.Unmap(va), Err::kNone);
-  stack.auditor()->Checkpoint("mutation");
-  EXPECT_GE(CountInvariant(*stack.auditor(), Invariant::kGrantRefcountMismatch), 1u);
+  // With an earlier clean checkpoint, the scan reruns only because the
+  // grant mapping moved the grant table's generation.
+  for (const bool clean_checkpoint_first : {false, true}) {
+    ustack::VmmStack stack;
+    ASSERT_NE(stack.auditor(), nullptr);
+    if (clean_checkpoint_first) {
+      stack.auditor()->Checkpoint("clean");
+      ASSERT_EQ(stack.auditor()->violation_count(), 0u);
+    }
+    const DomainId guest = stack.guest(0).domain;
+    auto ref = stack.hv().HcGrantAccess(guest, stack.dom0(), /*pfn=*/5, /*writable=*/true);
+    ASSERT_TRUE(ref.ok());
+    const hwsim::Vaddr va = 0xE800'0000;
+    ASSERT_EQ(stack.hv().HcGrantMap(stack.dom0(), guest, *ref, va, true), Err::kNone);
+    // Corruption: tear the mapping out directly, leaving the grant's
+    // active-mapping count at 1 with zero live PTEs.
+    uvmm::Domain* dom0 = stack.hv().FindDomain(stack.dom0());
+    ASSERT_NE(dom0, nullptr);
+    ASSERT_EQ(dom0->space.Unmap(va), Err::kNone);
+    stack.auditor()->Checkpoint("mutation");
+    EXPECT_GE(CountInvariant(*stack.auditor(), Invariant::kGrantRefcountMismatch), 1u)
+        << "clean checkpoint first: " << clean_checkpoint_first;
+  }
 }
 
 TEST(CheckMutation, GrantMapIntoHypervisorHoleRejectedAndFlagged) {
@@ -343,6 +366,27 @@ TEST(CheckMutation, GrantMapIntoHypervisorHoleRejectedAndFlagged) {
   dom0->space.Map(hole_va, dom0->p2m[5], hwsim::PtePerms{true, true});
   stack.auditor()->Checkpoint("mutation");
   EXPECT_GE(CountInvariant(*stack.auditor(), Invariant::kHypervisorHoleMapping), 1u);
+}
+
+TEST(CheckMutation, MmuUpdateBatchRescansItsDomain) {
+  // An applied mmu_update batch rescans its domain's whole table, so a PTE
+  // written behind every reporting path is caught at the batch, before any
+  // checkpoint.
+  ustack::VmmStack stack;
+  ASSERT_NE(stack.auditor(), nullptr);
+  const DomainId guest = stack.guest(0).domain;
+  uvmm::Domain* dom = stack.hv().FindDomain(guest);
+  ASSERT_NE(dom, nullptr);
+  auto frame = stack.machine().memory().AllocFrame(DomainId{0});  // hypervisor-owned
+  ASSERT_TRUE(frame.ok());
+  // Corruption: a raw PTE write, which reports nothing, of a user mapping
+  // onto the hypervisor's frame.
+  dom->space.WalkCreate(0x7100'0000) =
+      hwsim::Pte{.frame = *frame, .present = true, .writable = true, .user = true};
+  ASSERT_EQ(CountInvariant(*stack.auditor(), Invariant::kPrivilegedFrameUserMapped), 0u);
+  const uvmm::MmuUpdate update{.va = 0x7200'0000, .pfn = 3, .present = true, .writable = true};
+  ASSERT_EQ(stack.hv().HcMmuUpdate(guest, {&update, 1}), Err::kNone);
+  EXPECT_GE(CountInvariant(*stack.auditor(), Invariant::kPrivilegedFrameUserMapped), 1u);
 }
 
 // --- E19: dead-domain reclamation ------------------------------------------------
